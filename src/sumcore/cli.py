@@ -5,7 +5,7 @@ Every subcommand shares one JSON schema:
 
     {
       "kind": <subcommand>,
-      "parameters": {model, set, seed, threads, budget, ...},
+      "parameters": {model, set, seed, budget, ...},
       "result": {"status": ..., payload...},
       "certificate": {...} | null,
       "verified": true | false | null,
@@ -22,7 +22,6 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 import time
 from fractions import Fraction
@@ -111,8 +110,6 @@ def build_report(kind, params, result, certificate, verified, t0):
 
 
 def common_params(args, **extra):
-    # the thread cap steers execution only, never the result, so it is
-    # left out of the echo to keep reports identical across thread counts
     params = {
         "model": args.model,
         "set": args.set,
@@ -237,7 +234,7 @@ def cmd_triangular(args):
     model, A = load_instance(args)
     scorer = None if args.scorer == "exact" else args.scorer
     res = witness_mod.find_triangular_witness(A, model, args.m, scorer=scorer,
-                                              budget=args.budget)
+                                              budget=args.budget, seed=args.seed)
     params = common_params(args, m=args.m, scorer=args.scorer)
     if isinstance(res, witness_mod.TriangularWitness):
         verified = witness_mod.verify_triangular_witness(res, A, model)
@@ -340,10 +337,6 @@ def add_common(p, needs_set=True):
     if needs_set:
         p.add_argument("--set", required=True, help="set expression in the DSL")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int,
-                   default=int(os.environ.get("SUMCORE_THREADS", "1")),
-                   help="cap on internal worker pools (results are "
-                        "deterministic regardless)")
     p.add_argument("--budget", type=int, default=None, help="search node limit")
     p.add_argument("--out", choices=["json", "csv"], default="json")
     p.add_argument("--output", default=None, help="write the report to a file")

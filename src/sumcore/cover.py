@@ -6,15 +6,17 @@ elements are candidate shifts.  On an integer window, translates slide
 sets off the edges, so covering is demanded only on a declared core
 subwindow with shifts drawn from a declared range.
 
-``min_translate_cover`` solves minimum set cover exactly by branch and
-bound (greedy-seeded, desk scale) or approximately by the standard
-greedy rule; either way the certificate records, for every core
-element, which translate covers it, so covers re-verify element by
-element.
+``min_translate_cover`` solves minimum set cover exactly or
+approximately by the standard greedy rule.  The exact mode asks one
+decision question, "is there a cover of at most t translates?", for
+t = counting bound, counting bound + 1, ... below the greedy size; the
+first yes is the optimum, and the same question then fixes the
+lexicographically least optimal cover one translate at a time.  Either
+way the certificate records, for every core element, which translate
+covers it, so covers re-verify element by element.
 """
 
 from dataclasses import dataclass
-from math import ceil
 
 from .errors import BadCore, ModelMismatch
 from .model import CayleyGroup, DenseSet, ZWindow, iter_bits, translate
@@ -25,7 +27,7 @@ class CoverCertificate:
     translates: tuple      # chosen shifts g_1 < ... < g_t
     core: tuple            # (lo, hi) covered region
     witness_index: tuple   # for core element lo+i: index into translates
-    optimal: bool          # exact branch-and-bound vs greedy
+    optimal: bool          # exact search vs greedy
     method: str
 
     @property
@@ -39,13 +41,34 @@ class Infeasible:
     uncovered_element: object  # core element no translate reaches, or None
 
 
-def _translate_sets(A, model, core, shifts):
+def _cover_problem(A, model, core, shifts):
+    """Validated core, core bitmask, sorted shifts and {g: gA ∩ core}."""
+    if A.model != model:
+        raise ModelMismatch("set and model disagree")
+    if isinstance(model, CayleyGroup):
+        core = (0, model.order)
+        shifts = range(model.order)
+    elif isinstance(model, ZWindow):
+        if core is None:
+            raise BadCore("ZWindow cover needs an explicit core region")
+        lo, hi = core
+        if not (0 <= lo < hi <= model.carrier_size):
+            raise BadCore(f"core [{lo},{hi}) not inside the carrier")
+        if shifts is None:
+            shifts = range(-(hi - 1), hi)
+    else:
+        raise ModelMismatch(f"unsupported model {model!r}")
     lo, hi = core
     core_bits = ((1 << hi) - 1) ^ ((1 << lo) - 1)
-    sets = {}
-    for g in shifts:
-        sets[g] = translate(A, g).bits & core_bits
-    return core_bits, sets
+    order = sorted(set(int(g) for g in shifts))
+    sets = {g: translate(A, g).bits & core_bits for g in order}
+    return core, core_bits, order, sets
+
+
+def _bound(sets, uncovered):
+    """ceil(|uncovered| / best single-translate gain); None if no gain."""
+    gain = max(((s & uncovered).bit_count() for s in sets.values()), default=0)
+    return -(-uncovered.bit_count() // gain) if gain else None
 
 
 def min_translate_cover(A: DenseSet, model, core=None, shifts=None,
@@ -61,179 +84,109 @@ def min_translate_cover(A: DenseSet, model, core=None, shifts=None,
     lower bound ceil(|core| / max_g |gA ∩ core|) and, if some core
     element lies in no translate, that element as a failure witness.
     """
-    if A.model != model:
-        raise ModelMismatch("set and model disagree")
-    if isinstance(model, CayleyGroup):
-        core = (0, model.order)
-        shift_list = list(range(model.order))
-    elif isinstance(model, ZWindow):
-        if core is None:
-            raise BadCore("ZWindow cover needs an explicit core region")
-        lo, hi = core
-        if not (0 <= lo < hi <= model.carrier_size):
-            raise BadCore(f"core [{lo},{hi}) not inside the carrier")
-        if shifts is None:
-            shift_list = list(range(-(hi - 1), hi))
-        else:
-            shift_list = sorted(set(int(g) for g in shifts))
-    else:
-        raise ModelMismatch(f"unsupported model {model!r}")
-
-    core_bits, sets = _translate_sets(A, model, core, shift_list)
-    core_size = core_bits.bit_count()
-
+    core, core_bits, order, sets = _cover_problem(A, model, core, shifts)
+    counting_lb = _bound(sets, core_bits)
     union = 0
-    max_cover = 0
-    for g in shift_list:
-        union |= sets[g]
-        max_cover = max(max_cover, sets[g].bit_count())
+    for s in sets.values():
+        union |= s
     if union != core_bits:
-        missing = (core_bits & ~union)
+        missing = core_bits & ~union
         elem = (missing & -missing).bit_length() - 1
-        lb = None if max_cover == 0 else ceil(core_size / max_cover)
-        return Infeasible(lower_bound=lb, uncovered_element=elem)
+        return Infeasible(lower_bound=counting_lb, uncovered_element=elem)
 
-    counting_lb = ceil(core_size / max_cover)
-
-    def greedy():
-        chosen = []
-        covered = 0
-        while covered != core_bits:
-            best_g, best_gain = None, 0
-            for g in shift_list:
-                gain = (sets[g] & ~covered).bit_count()
-                if gain > best_gain:
-                    best_g, best_gain = g, gain
-            chosen.append(best_g)
-            covered |= sets[best_g]
-        return chosen
-
-    greedy_cover = greedy()
+    greedy_cover = []
+    covered = 0
+    while covered != core_bits:
+        best_g, best_gain = None, 0
+        for g in order:
+            gain = (sets[g] & ~covered).bit_count()
+            if gain > best_gain:
+                best_g, best_gain = g, gain
+        greedy_cover.append(best_g)
+        covered |= sets[best_g]
 
     if mode == "greedy":
         if len(greedy_cover) > t_max:
             return Infeasible(lower_bound=counting_lb, uncovered_element=None)
-        return _certificate(sorted(greedy_cover), sets, core, core_bits,
+        return _certificate(sorted(greedy_cover), sets, core,
                             optimal=False, method="greedy")
     if mode != "exact":
         raise ValueError(f"unknown mode {mode!r}")
 
-    # branch and bound, seeded by the greedy cover and capped at t_max:
-    # covers longer than t_max are reported Infeasible, so there is no
-    # point proving an exact optimum beyond that.
-    if len(greedy_cover) <= t_max:
-        best = {"size": len(greedy_cover), "cover": sorted(greedy_cover)}
-    else:
-        best = {"size": t_max + 1, "cover": None}
-    order = sorted(shift_list)
-    covers_elem = {}
+    # the optimum is the least t with a cover of size t; the greedy cover
+    # answers for its own size, and covers longer than t_max are
+    # reported Infeasible, so no t beyond either is asked about
+    covers = {}
     for g in order:
         for e in iter_bits(sets[g]):
-            covers_elem.setdefault(e, []).append(g)
-
-    def bound(uncovered):
-        # tightest single-translate gain against what is still uncovered
-        gain = max((sets[g] & uncovered).bit_count() for g in order)
-        return ceil(uncovered.bit_count() / gain)
-
-    def bnb(chosen, covered):
-        if covered == core_bits:
-            if len(chosen) < best["size"] or (
-                len(chosen) == best["size"]
-                and (best["cover"] is None or sorted(chosen) < best["cover"])
-            ):
-                best["size"] = len(chosen)
-                best["cover"] = sorted(chosen)
-            return
-        if len(chosen) + bound(core_bits & ~covered) > best["size"]:
-            return
-        if len(chosen) + 1 > best["size"]:
-            return
-        # branch on the uncovered element with the fewest covering translates
-        uncovered = core_bits & ~covered
-        elem, options = None, None
-        for e in iter_bits(uncovered):
-            opts = covers_elem[e]
-            if options is None or len(opts) < len(options):
-                elem, options = e, opts
-                if len(opts) == 1:
-                    break
-        for g in options:
-            if g in chosen:
-                continue
-            chosen.append(g)
-            bnb(chosen, covered | sets[g])
-            chosen.pop()
-
-    bnb([], 0)
-    if best["cover"] is None or best["size"] > t_max:
-        # the exhaustive search found no cover of size <= t_max
+            covers.setdefault(e, []).append(g)
+    t_star = len(greedy_cover)
+    for t in range(counting_lb, min(t_star, t_max + 1)):
+        if _exists_cover(sets, covers, core_bits, 0, t):
+            t_star = t
+            break
+    if t_star > t_max:
         return Infeasible(lower_bound=max(counting_lb, t_max + 1),
                           uncovered_element=None)
-
-    # lexicographically least optimal cover, for thread-independent output
-    t_star = best["size"]
-    final = _lex_min_cover(order, sets, core_bits, t_star, best["cover"])
-    return _certificate(final, sets, core, core_bits, optimal=True, method="exact")
+    final = _lex_min_cover(order, sets, covers, core_bits, t_star)
+    return _certificate(final, sets, core, optimal=True, method="exact")
 
 
-def _exists_cover(order, sets, core_bits, fixed, covered, size_limit, covers_left):
-    """Is there a cover of <= size_limit translates extending ``fixed``?"""
+def _exists_cover(sets, covers, core_bits, covered, size_limit):
+    """Do at most size_limit more translates cover what is still uncovered?
+
+    Every core element lies in some translate.  Branches on the uncovered
+    element with the fewest covering translates; ``covers`` maps each
+    core element to those translates.
+    """
     if covered == core_bits:
         return True
     if size_limit == 0:
         return False
     uncovered = core_bits & ~covered
-    gain = max((sets[g] & uncovered).bit_count() for g in order)
-    if gain == 0 or -(-uncovered.bit_count() // gain) > size_limit:
+    if _bound(sets, uncovered) > size_limit:
         return False
-    elem, options = None, None
+    options = None
     for e in iter_bits(uncovered):
-        opts = covers_left[e]
+        opts = covers[e]
         if options is None or len(opts) < len(options):
-            elem, options = e, opts
+            options = opts
             if len(opts) <= 1:
                 break
     for g in options:
-        if g in fixed:
-            continue
-        if _exists_cover(order, sets, core_bits, fixed + [g],
-                         covered | sets[g], size_limit - 1, covers_left):
+        if _exists_cover(sets, covers, core_bits, covered | sets[g],
+                         size_limit - 1):
             return True
     return False
 
 
-def _lex_min_cover(order, sets, core_bits, t_star, fallback):
-    covers_left = {}
-    for g in order:
-        for e in iter_bits(sets[g]):
-            covers_left.setdefault(e, []).append(g)
+def _lex_min_cover(order, sets, covers, core_bits, t_star):
+    """Lexicographically least cover of the optimal size t_star.
+
+    Each step fixes the least shift that still extends to a cover of
+    size t_star.  The picks come out increasing (a smaller shift that
+    extends later would have extended at the earlier step), so the scan
+    resumes after the last pick.
+    """
     chosen = []
     covered = 0
-    for _ in range(t_star):
-        for g in order:
-            if g in chosen:
-                continue
-            if _exists_cover(order, sets, core_bits, chosen + [g],
-                             covered | sets[g], t_star - len(chosen) - 1,
-                             covers_left):
-                chosen.append(g)
-                covered |= sets[g]
+    start = 0
+    while covered != core_bits:
+        for i in range(start, len(order)):
+            g = order[i]
+            if _exists_cover(sets, covers, core_bits, covered | sets[g],
+                             t_star - len(chosen) - 1):
                 break
-        else:
-            return sorted(fallback)  # should not happen; keep a valid cover
-        if covered == core_bits:
-            break
-    return chosen if covered == core_bits else sorted(fallback)
+        chosen.append(g)
+        covered |= sets[g]
+        start = i + 1
+    return chosen
 
 
-def _certificate(chosen, sets, core, core_bits, optimal, method):
+def _certificate(chosen, sets, core, optimal, method):
     lo, hi = core
     witness = []
     for e in range(lo, hi):
-        if not (core_bits >> e) & 1:
-            witness.append(-1)
-            continue
         for idx, g in enumerate(chosen):
             if (sets[g] >> e) & 1:
                 witness.append(idx)
@@ -263,15 +216,8 @@ def verify_cover(cert: CoverCertificate, A: DenseSet, model) -> bool:
 
 def counting_lower_bound(A: DenseSet, model, core, shifts=None) -> int:
     """ceil(|core| / max_g |gA ∩ core|), a lower bound on any cover size."""
-    if isinstance(model, CayleyGroup):
-        core = (0, model.order)
-        shift_list = list(range(model.order))
-    else:
-        lo, hi = core
-        shift_list = (list(range(-(hi - 1), hi)) if shifts is None
-                      else sorted(set(int(g) for g in shifts)))
-    core_bits, sets = _translate_sets(A, model, core, shift_list)
-    best = max((s.bit_count() for s in sets.values()), default=0)
-    if best == 0:
+    _, core_bits, _, sets = _cover_problem(A, model, core, shifts)
+    lb = _bound(sets, core_bits)
+    if lb is None:
         raise BadCore("no translate meets the core")
-    return ceil(core_bits.bit_count() / best)
+    return lb

@@ -146,10 +146,11 @@ def find_regular_point(A: DenseSet, interval, alpha, N):
 
 def verify_good_point(gp: GoodPoint, A: DenseSet) -> bool:
     """Recheck the prefix-density invariant of a good point from the bitset."""
-    if gp.x + gp.horizon > A.model.carrier_size:
+    M = A.model.carrier_size
+    if gp.x + gp.horizon > M:
         raise ModelMismatch("good point horizon leaves the carrier")
     a, b = gp.interval
-    if not (a <= gp.x and gp.x + gp.horizon <= b):
+    if gp.horizon < 1 or not (0 <= a <= gp.x and gp.x + gp.horizon <= b <= M):
         return False
     p = A.prefix_counts()
     an, ad = gp.alpha.numerator, gp.alpha.denominator

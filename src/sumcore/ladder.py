@@ -40,19 +40,22 @@ class LadderResult:
 
 
 class _Budget:
-    __slots__ = ("left", "exhausted")
+    """Node budget of an exact search; ``spent`` counts the nodes granted."""
+
+    __slots__ = ("left", "exhausted", "spent")
 
     def __init__(self, limit):
         self.left = limit  # None = unlimited
         self.exhausted = False
+        self.spent = 0
 
     def spend(self):
-        if self.left is None:
-            return True
-        if self.left <= 0:
-            self.exhausted = True
-            return False
-        self.left -= 1
+        if self.left is not None:
+            if self.left <= 0:
+                self.exhausted = True
+                return False
+            self.left -= 1
+        self.spent += 1
         return True
 
 
@@ -67,7 +70,6 @@ def max_ladder(A: DenseSet, model, k_max: int, budget=None) -> LadderResult:
         raise ValueError("k_max must be >= 1")
     domain = model.operand_mask
     bud = _Budget(budget)
-    spent = [0]
 
     # memoized quotients of A by each used element
     in_right = {}    # c -> {b : b*c in A}
@@ -101,14 +103,12 @@ def max_ladder(A: DenseSet, model, k_max: int, budget=None) -> LadderResult:
         for b in iter_bits_desc(pool_b & ~used_b):
             if not bud.spend():
                 return
-            spent[0] += 1
             pc = pool_c & left_q(b) & ~used_c
             if not pc:
                 continue
             for c in iter_bits(pc):
                 if not bud.spend():
                     return
-                spent[0] += 1
                 bs.append(b)
                 cs.append(c)
                 record(bs, cs)
@@ -128,7 +128,7 @@ def max_ladder(A: DenseSet, model, k_max: int, budget=None) -> LadderResult:
 
     extend([], [], domain, domain, 0, 0)
     exact_incomplete = bud.exhausted and best["k"] < k_max
-    return LadderResult(best["k"], best["cert"], exact_incomplete, spent[0])
+    return LadderResult(best["k"], best["cert"], exact_incomplete, bud.spent)
 
 
 def verify_ladder(cert: LadderCertificate, A: DenseSet, model) -> bool:

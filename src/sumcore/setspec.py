@@ -311,7 +311,8 @@ class _Parser:
             if not digits:
                 self.error(["decimal digits"])
             frac = Fraction(int(digits), 10 ** len(digits))
-            return Fraction(num) + (frac if num >= 0 else -frac)
+            # the sign is read from the text: "-0.5" has integer part 0
+            return Fraction(num) + (-frac if self.text[start] == "-" else frac)
         return Fraction(num)
 
     def path(self):

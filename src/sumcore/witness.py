@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInput, ModelMismatch
-from .ladder import LadderCertificate
+from .ladder import LadderCertificate, _Budget
 from .model import DenseSet, ZWindow, iter_bits, quotient
 from .setspec import splitmix_stream
 
@@ -91,23 +91,6 @@ class UpgradeResult:
     indices: tuple  # homogeneous index set I (0-based positions into tri)
     square: object  # SquareWitness when tag == "square"
     ladder: object  # LadderCertificate when tag == "ladder"
-
-
-class _Budget:
-    __slots__ = ("left", "exhausted")
-
-    def __init__(self, limit):
-        self.left = limit
-        self.exhausted = False
-
-    def spend(self):
-        if self.left is None:
-            return True
-        if self.left <= 0:
-            self.exhausted = True
-            return False
-        self.left -= 1
-        return True
 
 
 def _left_q(A, b, domain, cache):
@@ -237,20 +220,22 @@ def verify_square_witness(w: SquareWitness, A: DenseSet, model) -> bool:
 # --- triangular witnesses -----------------------------------------------------
 
 
-def find_triangular_witness(A: DenseSet, model, m: int, scorer=None, budget=None):
+def find_triangular_witness(A: DenseSet, model, m: int, scorer=None, budget=None,
+                            seed=0):
     """Witness with b_i * c_j in A for all i <= j (nothing below diagonal).
 
     With ``scorer`` set, delegates to the scorer-guided greedy (a square
     witness is a fortiori triangular; Stuck maps to a non-exhaustive
-    NotFound).  Otherwise runs an exact backtracking search: the b's are
-    chosen first, tracking the nested pools P_j = ∩_{i<=j} {c : b_i*c in A};
-    by a Hall argument over nested pools, distinct c's exist iff
-    |P_j| >= m - j for every j, so the c-phase rarely backtracks.
+    NotFound; ``seed`` drives the ``random`` scorer).  Otherwise runs an
+    exact backtracking search: the b's are chosen first, tracking the
+    nested pools P_j = ∩_{i<=j} {c : b_i*c in A}; by a Hall argument over
+    nested pools, distinct c's exist iff |P_j| >= m - j for every j, so
+    the c-phase rarely backtracks.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
     if scorer is not None:
-        res = greedy_back_and_forth(A, model, m, scorer=scorer)
+        res = greedy_back_and_forth(A, model, m, scorer=scorer, seed=seed)
         if isinstance(res, SquareWitness):
             return TriangularWitness(res.b, res.c)
         return NotFound(exhaustive=False)
@@ -557,8 +542,15 @@ def verify_definable_witness(w: DefinableWitness, A: DenseSet, model) -> bool:
     if not isinstance(model, ZWindow) or A.model != model:
         raise ModelMismatch("definable witnesses live over ZWindow models")
     t1, t2 = w.theta1, w.theta2
-    if t1.length < 1 or t2.length < 1 or t1.step < 1 or t2.step < 1:
+    if w.family not in ("intervals", "aps"):
         return False
+    L = model.operand_bound
+    for t in (t1, t2):
+        # operands lie in [0, L); intervals are progressions of step 1
+        if t.length < 1 or t.step < 1 or (w.family == "intervals" and t.step != 1):
+            return False
+        if t.start < 0 or t.start + (t.length - 1) * t.step >= L:
+            return False
     for x in t1.elements():
         for y in t2.elements():
             prod = model.op(x, y)

@@ -64,7 +64,12 @@ def brute_max_ladder(A, model, k_max):
 
 
 def brute_min_cover(A, model):
-    """Minimum number of left translates of A covering a CayleyGroup."""
+    """Lexicographically least minimum cover of a CayleyGroup by left
+    translates of A, as the tuple of translating elements, or None.
+
+    Sizes are tried in increasing order and combinations come out in lex
+    order, so the first covering combination is the lex-least optimum.
+    """
     n = model.carrier_size
     full = (1 << n) - 1
     tsets = []
@@ -81,7 +86,7 @@ def brute_min_cover(A, model):
             for g in combo:
                 u |= tsets[g]
             if u == full:
-                return t
+                return combo
     return None
 
 

@@ -187,6 +187,17 @@ class TestReproducibility:
 
     @pytest.mark.parametrize("case", CASES, ids=lambda c: c[0])
     def test_reports_reproducible_across_thread_caps(self, capsys, case):
-        _, first = run_cli(capsys, *case, "--threads", "1")
-        _, second = run_cli(capsys, *case, "--threads", "8")
+        # the search is single-threaded; the same argv is run twice
+        _, first = run_cli(capsys, *case)
+        _, second = run_cli(capsys, *case)
         assert strip_wall_time(first) == strip_wall_time(second)
+
+    def test_random_scorer_follows_seed(self, capsys):
+        case = ("triangular", "--model", "zwindow:4096:2048",
+                "--set", "bernoulli(1/2,3)", "--m", "4", "--scorer", "random")
+        _, one = run_cli(capsys, *case, "--seed", "1")
+        _, again = run_cli(capsys, *case, "--seed", "1")
+        _, other = run_cli(capsys, *case, "--seed", "99")
+        assert strip_wall_time(one) == strip_wall_time(again)
+        assert json.loads(one)["certificate"] != json.loads(other)["certificate"]
+        assert json.loads(one)["verified"] is True

@@ -7,6 +7,7 @@ from sumcore import (
     CoverCertificate,
     DenseSet,
     Infeasible,
+    ModelMismatch,
     Multiples,
     build_model,
     counting_lower_bound,
@@ -133,7 +134,18 @@ class TestMinTranslateCover:
             for bits in range(1, 1 << n):
                 A = DenseSet(m, bits)
                 exact = min_translate_cover(A, m, t_max=n)
-                assert exact.t == brute_min_cover(A, m)
+                assert exact.translates == brute_min_cover(A, m)
+
+    def test_counting_bound_validates_like_cover(self):
+        m = zw(1000, 500)
+        A = generate_set(m, parse_set_spec("bernoulli(0.3,11)"))
+        with pytest.raises(BadCore):
+            counting_lower_bound(A, m, (0, 2000))
+        with pytest.raises(BadCore):
+            counting_lower_bound(A, m, None)
+        other = generate_set(zw(200, 100), Multiples(2))
+        with pytest.raises(ModelMismatch):
+            counting_lower_bound(other, m, (0, 100))
 
     def test_verify_rejects_wrong_index(self):
         m = zw(200, 100)

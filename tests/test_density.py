@@ -138,6 +138,17 @@ class TestFindRegularPoint:
         with pytest.raises(ModelMismatch):
             verify_density_certificate(cert, other)
 
+    def test_verify_rejects_out_of_range_good_point(self):
+        m = zw(100, 50)
+        A = generate_set(m, Multiples(2))
+        half = Fraction(1, 2)
+        assert verify_good_point(GoodPoint(0, half, 2, (0, 10)), A)
+        # numpy would index a negative x from the end of the prefix counts
+        assert not verify_good_point(GoodPoint(-3, half, 2, (-5, 10)), A)
+        assert not verify_good_point(GoodPoint(2, half, 2, (-5, 10)), A)
+        assert not verify_good_point(GoodPoint(90, half, 2, (80, 120)), A)
+        assert not verify_good_point(GoodPoint(0, half, 0, (0, 10)), A)
+
     def test_bad_arguments(self):
         m = zw(100, 50)
         A = DenseSet.from_members(m, [1])

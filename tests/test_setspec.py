@@ -144,6 +144,17 @@ class TestParse:
         tree = parse_set_spec("bernoulli(0.25,9)")
         assert tree.delta == Fraction(1, 4)
 
+    def test_negative_decimals_keep_sign(self):
+        # "-0.5" has integer part 0; its sign must survive, so the value
+        # is rejected as out of range instead of read as 1/2
+        assert parse_set_spec("bernoulli(-0.5,1)").delta == Fraction(-1, 2)
+        assert parse_set_spec("bohr(1/3,-0.25)").eps == Fraction(-1, 4)
+        assert parse_set_spec("bernoulli(-1.5,1)").delta == Fraction(-3, 2)
+        m = zw(10, 5)
+        for text in ("bernoulli(-0.5,1)", "bohr(1/3,-0.25)"):
+            with pytest.raises(SpecOutOfRange):
+                generate_set(m, parse_set_spec(text))
+
     def test_trailing_garbage(self):
         with pytest.raises(ParseError):
             parse_set_spec("pow2 pow2")

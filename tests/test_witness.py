@@ -304,6 +304,31 @@ class TestDefinableWitness:
         assert not verify_definable_witness(bad, A, m)
 
 
+    def test_verify_rejects_stepped_intervals(self):
+        m = zw(1000, 500)
+        A = DenseSet.from_members(m, range(1000))
+        w = DefinableWitness("intervals", FamilyDescriptor(0, 7, 4),
+                             FamilyDescriptor(0, 1, 4))
+        assert not verify_definable_witness(w, A, m)
+
+    def test_verify_rejects_operands_outside_range(self):
+        m = zw(1000, 500)
+        A = DenseSet.from_members(m, range(1000))
+        ok = FamilyDescriptor(0, 1, 4)
+        for bad in (FamilyDescriptor(490, 5, 4), FamilyDescriptor(-3, 1, 4)):
+            assert not verify_definable_witness(
+                DefinableWitness("aps", bad, ok), A, m)
+            assert not verify_definable_witness(
+                DefinableWitness("aps", ok, bad), A, m)
+
+    def test_verify_rejects_unknown_family(self):
+        m = zw(1000, 500)
+        A = DenseSet.from_members(m, range(1000))
+        w = DefinableWitness("bogus", FamilyDescriptor(0, 1, 4),
+                             FamilyDescriptor(0, 1, 4))
+        assert not verify_definable_witness(w, A, m)
+
+
 class TestGrowthCurve:
     def test_evens(self):
         m = zw(100, 50)

@@ -24,6 +24,7 @@ import io
 import json
 import sys
 import time
+import traceback
 from fractions import Fraction
 
 from . import cover as cover_mod
@@ -32,7 +33,7 @@ from . import ladder as ladder_mod
 from . import witness as witness_mod
 from .errors import SumcoreError
 from .ladder import LadderCertificate
-from .model import build_model, write_set_file
+from .model import build_model, set_file_text, write_set_file
 from .setspec import generate_set, parse_set_spec, spec_to_text
 
 
@@ -70,6 +71,8 @@ def to_jsonable(obj):
     if isinstance(obj, Fraction):
         return f"{obj.numerator}/{obj.denominator}"
     if isinstance(obj, (list, tuple)):
+        if set(map(type, obj)) <= {int}:
+            return list(obj)  # certificates hold long lists of plain ints
         return [to_jsonable(x) for x in obj]
     if isinstance(obj, dict):
         return {str(k): to_jsonable(v) for k, v in obj.items()}
@@ -136,15 +139,8 @@ def cmd_gen(args):
         write_set_file(args.output, A.members(), size=model.carrier_size,
                        fmt=args.format)
     else:
-        if args.format == "rle":
-            import tempfile
-            with tempfile.NamedTemporaryFile("r", suffix=".set") as tmp:
-                write_set_file(tmp.name, A.members(), size=model.carrier_size,
-                               fmt="rle")
-                sys.stdout.write(open(tmp.name).read())
-        else:
-            for m in A.members():
-                sys.stdout.write(f"{m}\n")
+        sys.stdout.write(set_file_text(A.members(), size=model.carrier_size,
+                                       fmt=args.format))
     return 0
 
 
@@ -416,16 +412,25 @@ def make_parser():
     return ap
 
 
+def _report_error(exc):
+    """Write the error report for ``exc``; its exit code is 2."""
+    err = {"kind": "error", "error": {"type": type(exc).__name__,
+                                      "message": str(exc)}}
+    sys.stdout.write(json.dumps(err, indent=2, sort_keys=True) + "\n")
+    return 2
+
+
 def run(argv=None):
     ap = make_parser()
     args = ap.parse_args(argv)
     try:
         return args.func(args)
     except (SumcoreError, ValueError, OSError) as exc:
-        err = {"kind": "error", "error": {"type": type(exc).__name__,
-                                          "message": str(exc)}}
-        sys.stdout.write(json.dumps(err, indent=2, sort_keys=True) + "\n")
-        return 2
+        return _report_error(exc)
+    except Exception as exc:
+        # an internal fault (e.g. RecursionError) is an error, never exit 1
+        traceback.print_exc(file=sys.stderr)
+        return _report_error(exc)
 
 
 def main(argv=None):

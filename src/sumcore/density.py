@@ -17,8 +17,11 @@ so the two outcomes are mutually exclusive and machine-checkable.  All
 densities are exact rationals; no floating point is involved.
 """
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+
+import numpy as np
 
 from .errors import BadAlpha, BadInterval, ModelMismatch, WindowTooLarge
 from .model import DenseSet, ZWindow
@@ -66,30 +69,27 @@ def _require_zwindow(A: DenseSet):
         raise WindowTooLarge("window densities are defined for ZWindow models")
 
 
-def banach_density(A: DenseSet, n: int) -> DensityReport:
-    """Exact max of |A ∩ [m, m+n)| / n over all starts m (first argmax)."""
+def _window_density(A: DenseSet, n: int, pick) -> DensityReport:
+    """The window of length n whose count ``pick`` (argmax/argmin) selects."""
     _require_zwindow(A)
     M = A.model.carrier_size
     if not (1 <= n <= M):
         raise WindowTooLarge(f"window length {n} outside [1, {M}]")
     p = A.prefix_counts()
     counts = p[n:] - p[:-n]
-    best = int(counts.argmax())
+    best = int(pick(counts))
     c = int(counts[best])
     return DensityReport(n, best, c, Fraction(c, n))
+
+
+def banach_density(A: DenseSet, n: int) -> DensityReport:
+    """Exact max of |A ∩ [m, m+n)| / n over all starts m (first argmax)."""
+    return _window_density(A, n, np.argmax)
 
 
 def min_window_density(A: DenseSet, n: int) -> DensityReport:
     """Min-over-starts companion of banach_density (syndeticity side)."""
-    _require_zwindow(A)
-    M = A.model.carrier_size
-    if not (1 <= n <= M):
-        raise WindowTooLarge(f"window length {n} outside [1, {M}]")
-    p = A.prefix_counts()
-    counts = p[n:] - p[:-n]
-    best = int(counts.argmin())
-    c = int(counts[best])
-    return DensityReport(n, best, c, Fraction(c, n))
+    return _window_density(A, n, np.argmin)
 
 
 def density_schedule(A: DenseSet, lengths) -> list:
@@ -116,32 +116,53 @@ def find_regular_point(A: DenseSet, interval, alpha, N):
     if not (1 <= N <= b - a):
         raise BadInterval(f"horizon {N} outside [1, {b - a}]")
 
-    p = A.prefix_counts()
+    # p[i] = |A ∩ [a, a+i)|; the walk reads Python ints, not numpy scalars
+    pc = A.prefix_counts()
+    p = (pc[a:b + 1] - pc[a]).tolist()
     an, ad = alpha.numerator, alpha.denominator
     cuts = [a]
     counts = []
-    x = a
+    i, end = 0, b - a
     while True:
-        if b - x < N:
-            if x < b:
+        if end - i < N:
+            if i < end:
                 cuts.append(b)
-                counts.append(int(p[b] - p[x]))
+                counts.append(p[end] - p[i])
             return PartitionCertificate(
                 (a, b), alpha, N, tuple(cuts), tuple(counts), M
             )
-        base = int(p[x])
+        base = p[i]
+        if p[i + 1] == base:
+            # i is not in A: [i, i+1) is sparse (alpha > 0), and so is
+            # every position up to the next member; take them in one step
+            stop = min(bisect_right(p, base, i) - 1, end - N + 1)
+            cuts.extend(range(a + i + 1, a + stop + 1))
+            counts.extend([0] * (stop - i))
+            i = stop
+            continue
         jump = 0
         for n in range(1, N + 1):
-            cnt = int(p[x + n]) - base
             # density < alpha/2  <=>  2 * cnt * ad < an * n
-            if 2 * cnt * ad < an * n:
+            if 2 * (p[i + n] - base) * ad < an * n:
                 jump = n
                 break
         if jump == 0:
-            return GoodPoint(x, alpha, N, (a, b))
-        x += jump
-        cuts.append(x)
-        counts.append(int(p[x]) - base)
+            return GoodPoint(a + i, alpha, N, (a, b))
+        i += jump
+        cuts.append(a + i)
+        counts.append(p[i] - base)
+
+
+def _sparse(cnt, length, alpha, top):
+    """Elementwise ``2 * cnt * ad < an * length``: density below alpha/2.
+
+    Exact: int64 when every product stays below 2^62 (0 <= cnt, length
+    <= top), otherwise the same expression on Python ints (dtype object).
+    """
+    an, ad = alpha.numerator, alpha.denominator
+    if 2 * top * max(abs(an), ad) >= 1 << 62:
+        cnt, length = cnt.astype(object), length.astype(object)
+    return 2 * cnt * ad < an * length
 
 
 def verify_good_point(gp: GoodPoint, A: DenseSet) -> bool:
@@ -153,13 +174,10 @@ def verify_good_point(gp: GoodPoint, A: DenseSet) -> bool:
     if gp.horizon < 1 or not (0 <= a <= gp.x and gp.x + gp.horizon <= b <= M):
         return False
     p = A.prefix_counts()
-    an, ad = gp.alpha.numerator, gp.alpha.denominator
-    base = int(p[gp.x])
-    for n in range(1, gp.horizon + 1):
-        cnt = int(p[gp.x + n]) - base
-        if 2 * cnt * ad < an * n:
-            return False
-    return True
+    base = p[gp.x]
+    cnt = p[gp.x + 1:gp.x + gp.horizon + 1] - base
+    n = np.arange(1, gp.horizon + 1)
+    return not _sparse(cnt, n, gp.alpha, gp.horizon).any()
 
 
 def verify_density_certificate(cert: PartitionCertificate, A: DenseSet) -> bool:
@@ -173,28 +191,23 @@ def verify_density_certificate(cert: PartitionCertificate, A: DenseSet) -> bool:
     cuts = cert.cuts
     if len(cuts) < 2 or cuts[0] != a or cuts[-1] != b:
         return False
-    if any(cuts[i] >= cuts[i + 1] for i in range(len(cuts) - 1)):
+    at = np.asarray(cuts)  # int64; float or object when a cut is not an int
+    if not (np.diff(at) > 0).all():
         return False
     if len(cert.block_counts) != len(cuts) - 1:
         return False
     p = A.prefix_counts()
-    an, ad = cert.alpha.numerator, cert.alpha.denominator
+    pc = p[at]  # a cut that is not an integer raises IndexError here
+    cnt = np.diff(pc)
+    if list(cert.block_counts) != cnt.tolist():
+        return False
+    length = np.diff(at)
     N = cert.horizon
-    K = len(cuts) - 1
-    for k in range(K):
-        length = cuts[k + 1] - cuts[k]
-        cnt = int(p[cuts[k + 1]]) - int(p[cuts[k]])
-        if cnt != cert.block_counts[k]:
-            return False
-        sparse = length <= N and 2 * cnt * ad < an * length
-        if k < K - 1:
-            if not sparse:
-                return False
-        else:
-            # last block: closing block of length < N, or itself sparse
-            if not (length < N or sparse):
-                return False
-    total = int(p[b]) - int(p[a])
+    sparse = (length <= N) & _sparse(cnt, length, cert.alpha, b - a)
+    # every block is sparse, except that the last may close with length < N
+    if not (sparse[:-1].all() and (length[-1] < N or sparse[-1])):
+        return False
+    total = int(pc[-1] - pc[0])
     # implied bound, exact: total/(b-a) < alpha/2 + N/(b-a)
     if Fraction(total, b - a) >= cert.alpha / 2 + Fraction(N, b - a):
         return False

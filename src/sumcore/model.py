@@ -10,12 +10,20 @@ Two kinds of carrier are supported:
   ``n x n`` table of element indices.  The table must be a Latin
   square; cyclic tables give the groups Z_n.
 
-Sets over a carrier are ``DenseSet`` bitsets.  Internally membership
-lives in a single Python integer, so intersections, unions and
-quotients are single big-int operations.
+Sets over a carrier are ``DenseSet`` bitsets.  The canonical
+representation is a single Python integer (bit i set iff element i is a
+member), so intersections, unions and quotients are single big-int
+operations and the searches do their bitwise work on it.  Scans go
+through a numpy view instead: ``to_numpy()`` unpacks the integer into a
+bool array once and caches it, and ``members()`` and the prefix counts
+are whole-array operations on that view.  Going the other way, every
+bitset built from an array or a list of elements is built through one
+mask path, ``from_mask``: a bool mask, packed little-endian and read as
+one integer.
 """
 
 from dataclasses import dataclass
+from itertools import accumulate, chain
 
 import numpy as np
 
@@ -44,11 +52,24 @@ def iter_bits_desc(bits):
         bits ^= 1 << i
 
 
+def from_mask(mask):
+    """The big-int bitset of a bool array: bit i is set iff ``mask[i]``."""
+    raw = np.packbits(mask, bitorder="little").tobytes()
+    return int.from_bytes(raw, "little")
+
+
 def bits_of(indices):
-    out = 0
-    for i in indices:
-        out |= 1 << i
-    return out
+    """The big-int bitset with bit i set for each non-negative integer i."""
+    idx = np.asarray(list(indices))
+    if idx.size == 0:
+        return 0
+    if idx.dtype.kind not in "iu":
+        raise TypeError(f"bit indices must be integers, got {idx.dtype}")
+    if idx.min() < 0:
+        raise ValueError("negative bit index")
+    mask = np.zeros(int(idx.max()) + 1, dtype=bool)
+    mask[idx] = True
+    return from_mask(mask)
 
 
 @dataclass(frozen=True)
@@ -171,7 +192,8 @@ class DenseSet:
         return 0 <= i < self.model.carrier_size and (self.bits >> i) & 1 == 1
 
     def members(self):
-        return list(iter_bits(self.bits))
+        """The members in increasing order, as a list of Python ints."""
+        return np.flatnonzero(self.to_numpy()).tolist()
 
     def to_numpy(self):
         """Membership as a bool array (cached)."""
@@ -273,7 +295,10 @@ def translate(A: DenseSet, g: int) -> DenseSet:
 
 
 def read_set_file(path):
-    """Read a set file; returns (members, declared_size_or_None)."""
+    """Read a set file; returns (members, declared_size_or_None).
+
+    ``members`` is a sorted list of distinct Python ints.
+    """
     with open(path) as fh:
         text = fh.read()
     stripped = text.strip()
@@ -282,50 +307,45 @@ def read_set_file(path):
         if len(parts) != 3:
             raise SumcoreError(f"malformed RLE1 header in {path}")
         size = int(parts[1])
-        runs = [int(x) for x in parts[2].split(",")] if parts[2] else []
-        members = []
-        pos = 0
-        in_set = False
-        for length in runs:
-            if length < 0:
-                raise SumcoreError("negative run length")
-            if in_set:
-                members.extend(range(pos, pos + length))
-            pos += length
-            in_set = not in_set
-        if pos > size:
+        runs = list(map(int, parts[2].split(","))) if parts[2] else []
+        if runs and min(runs) < 0:
+            raise SumcoreError("negative run length")
+        ends = list(accumulate(runs))
+        if ends and ends[-1] > size:
             raise SumcoreError("RLE1 runs overflow the declared size")
+        # run k holds [end of gap k, end of run k); a trailing gap has no run
+        members = list(chain.from_iterable(map(range, ends[0::2], ends[1::2])))
         return members, size
-    members = sorted(int(line) for line in stripped.split() if line)
+    members = sorted(set(map(int, stripped.split())))
     if members and members[0] < 0:
         raise SumcoreError("set files hold non-negative integers")
     return members, None
 
 
-def write_set_file(path, members, size=None, fmt="list"):
+def set_file_text(members, size=None, fmt="list"):
+    """The text of a set file holding ``members`` (any order, repeats allowed)."""
     members = sorted(set(members))
     if fmt == "list":
-        with open(path, "w") as fh:
-            for m in members:
-                fh.write(f"{m}\n")
-        return
+        return "\n".join(map(str, members)) + "\n" if members else ""
     if fmt != "rle":
         raise SumcoreError(f"unknown set file format {fmt!r}")
     if size is None:
         size = (members[-1] + 1) if members else 0
-    runs = []
-    pos = 0
-    i = 0
-    while i < len(members):
-        gap = members[i] - pos
-        j = i
-        while j + 1 < len(members) and members[j + 1] == members[j] + 1:
-            j += 1
-        run = j - i + 1
-        runs.extend((gap, run))
-        pos = members[j] + 1
-        i = j + 1
+    runs, pos = [], 0
+    if members:
+        m = np.asarray(members)
+        cut = np.flatnonzero(np.diff(m) != 1) + 1  # where a new run starts
+        starts = m[np.concatenate(([0], cut))]
+        stops = m[np.concatenate((cut - 1, [m.size - 1]))] + 1
+        gaps = starts - np.concatenate(([0], stops[:-1]))
+        runs = np.column_stack((gaps, stops - starts)).ravel().tolist()
+        pos = int(stops[-1])
     if pos < size:
         runs.append(size - pos)
+    return f"RLE1:{size}:" + ",".join(map(str, runs)) + "\n"
+
+
+def write_set_file(path, members, size=None, fmt="list"):
+    text = set_file_text(members, size=size, fmt=fmt)
     with open(path, "w") as fh:
-        fh.write(f"RLE1:{size}:" + ",".join(str(r) for r in runs) + "\n")
+        fh.write(text)

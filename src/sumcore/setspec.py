@@ -24,13 +24,14 @@ with all arithmetic mod 2^64 and ``splitmix64`` the standard finalizer
 0x94D049BB133111EB).
 """
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from .errors import ParseError, SpecOutOfRange
-from .model import DenseSet, read_set_file
+from .model import DenseSet, bits_of, from_mask, read_set_file
 
 MASK64 = (1 << 64) - 1
 GOLDEN = 0x9E3779B97F4A7C15
@@ -117,24 +118,37 @@ class Complement:
     child: object
 
 
-def _bernoulli_bits(n, delta, seed):
+def _bernoulli_mask(n, delta, seed):
     threshold = (delta.numerator << 64) // delta.denominator
+    if threshold >= 1 << 64:
+        return np.ones(n, dtype=bool)
     idx = np.arange(1, n + 1, dtype=np.uint64)
     with np.errstate(over="ignore"):
         x = np.uint64(seed & MASK64) + idx * np.uint64(GOLDEN)
         x = (x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
         x = (x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
         x = x ^ (x >> np.uint64(31))
-    if threshold >= 1 << 64:
-        mask = np.ones(n, dtype=bool)
-    else:
-        mask = x < np.uint64(threshold)
-    raw = np.packbits(mask, bitorder="little").tobytes()
-    return int.from_bytes(raw, "little")
+    return x < np.uint64(threshold)
+
+
+def _bohr_mask(n, p, q, eps):
+    """{x : min(r, q - r) * ed < en * q} with r = x*p mod q, exactly.
+
+    int64 holds every intermediate when max(n, ed, en) * q < 2^62;
+    otherwise the same expression runs on Python ints (dtype object).
+    """
+    en, ed = eps.numerator, eps.denominator
+    dtype = np.int64 if max(n, ed, en) * q < 1 << 62 else object
+    r = np.arange(n, dtype=dtype) * p % q
+    return np.minimum(r, q - r) * ed < en * q
 
 
 def generate_set(model, spec) -> DenseSet:
-    """Evaluate a SetSpec over the model's carrier indices."""
+    """Evaluate a SetSpec over the model's carrier indices.
+
+    Leaves are built as bool masks (``from_mask``); combinators are
+    big-int operations on the leaves' bitsets.
+    """
     n = model.carrier_size
     full = (1 << n) - 1
 
@@ -142,39 +156,25 @@ def generate_set(model, spec) -> DenseSet:
         if isinstance(node, Multiples):
             if node.q <= 0:
                 raise SpecOutOfRange("multiples step must be positive")
-            r = node.offset % node.q
-            bits = 0
-            for x in range(r, n, node.q):
-                bits |= 1 << x
-            return bits
+            mask = np.zeros(n, dtype=bool)
+            mask[node.offset % node.q::node.q] = True
+            return from_mask(mask)
         if isinstance(node, PowersOf2):
-            bits = 0
-            p = 1
-            while p < n:
-                bits |= 1 << p
-                p <<= 1
-            return bits
+            # 1, 2, 4, ... below n: exponents 0 .. bit_length(n - 1) - 1
+            mask = np.zeros(n, dtype=bool)
+            mask[1 << np.arange((n - 1).bit_length())] = True
+            return from_mask(mask)
         if isinstance(node, Bernoulli):
             if not (0 <= node.delta <= 1):
                 raise SpecOutOfRange("bernoulli density must lie in [0,1]")
-            return _bernoulli_bits(n, Fraction(node.delta), node.seed)
+            return from_mask(_bernoulli_mask(n, Fraction(node.delta), node.seed))
         if isinstance(node, BohrSet):
             if node.den <= 0:
                 raise SpecOutOfRange("bohr denominator must be positive")
             if not (0 < node.eps < 1):
                 raise SpecOutOfRange("bohr radius must lie in (0,1)")
-            p, q = node.num % node.den, node.den
-            en, ed = node.eps.numerator, node.eps.denominator
-            bits = 0
-            r = 0
-            for x in range(n):
-                # r = (x*p) mod q maintained incrementally; exact integers
-                if min(r, q - r) * ed < en * q:
-                    bits |= 1 << x
-                r += p
-                if r >= q:
-                    r -= q
-            return bits
+            return from_mask(_bohr_mask(n, node.num % node.den, node.den,
+                                        Fraction(node.eps)))
         if isinstance(node, Threshold):
             if node.t <= 0:
                 return full
@@ -182,19 +182,14 @@ def generate_set(model, spec) -> DenseSet:
                 return 0
             return full ^ ((1 << node.t) - 1)
         if isinstance(node, Explicit):
-            bits = 0
             for x in node.members:
                 if not (0 <= x < n):
                     raise SpecOutOfRange(f"explicit member {x} outside carrier")
-                bits |= 1 << x
-            return bits
+            return bits_of(node.members)
         if isinstance(node, FileSet):
             members, _ = read_set_file(node.path)
-            bits = 0
-            for x in members:
-                if x < n:
-                    bits |= 1 << x
-            return bits
+            # sorted and non-negative: members >= n are ignored
+            return bits_of(members[:bisect_left(members, n)])
         if isinstance(node, Union):
             return ev(node.left) | ev(node.right)
         if isinstance(node, Intersect):
@@ -231,7 +226,7 @@ def spec_to_text(spec) -> str:
     if isinstance(spec, Explicit):
         return "explicit(" + ",".join(str(m) for m in spec.members) + ")"
     if isinstance(spec, FileSet):
-        return f"file({spec.path})"
+        return f"file({_path_text(spec.path)})"
     if isinstance(spec, Union):
         return f"union({spec_to_text(spec.left)},{spec_to_text(spec.right)})"
     if isinstance(spec, Intersect):
@@ -241,6 +236,16 @@ def spec_to_text(spec) -> str:
     if isinstance(spec, Complement):
         return f"complement({spec_to_text(spec.child)})"
     raise SpecOutOfRange(f"unknown spec node {spec!r}")
+
+
+def _path_text(path: str) -> str:
+    """The path bare, or quoted when the parser would stop inside it."""
+    if path and not any(c in "(),\"'" or c.isspace() for c in path):
+        return path
+    for quote in "\"'":
+        if quote not in path:
+            return f"{quote}{path}{quote}"
+    raise SpecOutOfRange(f"file path {path!r} holds both quote characters")
 
 
 def _frac_text(f: Fraction) -> str:
@@ -373,6 +378,10 @@ class _Parser:
             return Threshold(t)
         if name == "explicit":
             self.expect("(")
+            self.skip_ws()
+            if self.pos < len(self.text) and self.text[self.pos] == ")":
+                self.pos += 1
+                return Explicit(())
             members = [self.integer()]
             self.skip_ws()
             while self.pos < len(self.text) and self.text[self.pos] == ",":

@@ -107,6 +107,29 @@ def scan_good_points(A, interval, alpha, N):
     return out
 
 
+def walk_regular_point(A, interval, alpha, N):
+    """The greedy walk of find_regular_point, one position at a time.
+
+    Returns ("good", x) or ("partition", cuts, block_counts).
+    """
+    a, b = interval
+    cuts, counts = [a], []
+    x = a
+    while b - x >= N:
+        jump = next((n for n in range(1, N + 1)
+                     if 2 * sum(A.contains(y) for y in range(x, x + n))
+                     * alpha.denominator < alpha.numerator * n), None)
+        if jump is None:
+            return ("good", x)
+        counts.append(sum(A.contains(y) for y in range(x, x + jump)))
+        x += jump
+        cuts.append(x)
+    if x < b:
+        counts.append(sum(A.contains(y) for y in range(x, b)))
+        cuts.append(b)
+    return ("partition", tuple(cuts), tuple(counts))
+
+
 def power_quadruple_solutions(max_exp):
     """Solutions of 2^a + 2^d = 2^b + 2^c with {a,d} != {b,c}.
 

@@ -155,6 +155,28 @@ class TestSubcommands:
         assert members == [1, 2, 4, 8, 16, 32]
         assert size == 64
 
+    @pytest.mark.parametrize("fmt", ["list", "rle"])
+    def test_gen_stdout_is_the_set_file(self, capsys, tmp_path, fmt):
+        out_path = tmp_path / "a.set"
+        argv = ("gen", "--model", "zwindow:64:32", "--set", "union(pow2,threshold(60))",
+                "--format", fmt)
+        code, _ = run_cli(capsys, *argv, "--output", str(out_path))
+        assert code == 0
+        code, out = run_cli(capsys, *argv)
+        assert code == 0
+        assert out == out_path.read_text()
+        assert read_set_file(out_path)[0] == [1, 2, 4, 8, 16, 32, 60, 61, 62, 63]
+
+    def test_internal_error_exits_2(self, capsys):
+        # the exact square search recurses once per row: k = 1500 exceeds
+        # the interpreter's recursion limit, an error and not a negative
+        code, out = run_cli(capsys, "witness", "--model", "zwindow:4096:2048",
+                            "--set", "threshold(0)", "--k", "1500")
+        assert code == 2
+        rep = json.loads(out)
+        assert rep["kind"] == "error"
+        assert rep["error"]["type"] == "RecursionError"
+
     def test_error_exit_code(self, capsys):
         code, out = run_cli(capsys, "density", "--model", "zwindow:100:50",
                             "--set", "bernoulli(0.5)")

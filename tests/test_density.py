@@ -25,7 +25,7 @@ from sumcore import (
     verify_good_point,
 )
 
-from .oracles import scan_good_points
+from .oracles import scan_good_points, walk_regular_point
 
 
 def zw(M, L):
@@ -175,6 +175,22 @@ class TestFindRegularPoint:
             # a dense-enough interval must have produced a good point
             assert Fraction(len(A), 60) < alpha / 2 + Fraction(N, 60)
 
+    @given(st.integers(0, 2 ** 80 - 1), st.integers(0, 2 ** 80 - 1),
+           st.integers(0, 79), st.integers(1, 80), st.integers(1, 12),
+           st.sampled_from([Fraction(1, 4), Fraction(1, 2), Fraction(1)]))
+    @settings(max_examples=150, deadline=None)
+    def test_walk_matches_scalar_walk(self, bits, other, a, b, N, alpha):
+        # sparse sets: the walk crosses runs of non-members in one step
+        A = DenseSet(zw(80, 40), bits & other & (bits >> 3))
+        a, b = min(a, b - 1), max(a + 1, b)
+        N = min(N, b - a)
+        res = find_regular_point(A, (a, b), alpha, N)
+        if isinstance(res, GoodPoint):
+            got = ("good", res.x)
+        else:
+            got = ("partition", res.cuts, res.block_counts)
+        assert got == walk_regular_point(A, (a, b), alpha, N)
+
     def test_good_point_is_least(self):
         # the walk's result equals the first good point of the scan oracle
         m = zw(80, 40)
@@ -187,3 +203,88 @@ class TestFindRegularPoint:
                     assert good and res.x == good[0]
                 else:
                     assert good == []
+
+
+def _answer(verify, cert, A):
+    """The verifier's verdict, or the name of the error it raises."""
+    try:
+        return verify(cert, A)
+    except Exception as exc:  # the error type is part of the answer
+        return type(exc).__name__
+
+
+class TestVerifierMutations:
+    """Mutated certificates get the verdicts the scalar verifiers gave."""
+
+    @staticmethod
+    def pow2_certificate():
+        A = generate_set(zw(4096, 2048), PowersOf2())
+        cert = find_regular_point(A, (0, 4096), Fraction(1, 2), 64)
+        assert isinstance(cert, PartitionCertificate)
+        assert verify_density_certificate(cert, A)
+        return cert, A
+
+    @staticmethod
+    def with_count(cert, k, value):
+        counts = list(cert.block_counts)
+        counts[k] = value
+        return replace(cert, block_counts=tuple(counts))
+
+    @staticmethod
+    def with_cut(cert, k, value):
+        cuts = list(cert.cuts)
+        cuts[k] = value
+        return replace(cert, cuts=tuple(cuts))
+
+    @pytest.mark.parametrize("value", [1.5, Fraction(3, 2)])
+    def test_fractional_block_count(self, value):
+        # a truncating int64 cast would read 1.5 as 1 and accept it
+        cert, A = self.pow2_certificate()
+        k = cert.block_counts.index(1)
+        assert verify_density_certificate(self.with_count(cert, k, value), A) is False
+
+    def test_block_counts_one_short(self):
+        cert, A = self.pow2_certificate()
+        short = replace(cert, block_counts=cert.block_counts[:-1])
+        assert verify_density_certificate(short, A) is False
+
+    def test_float_cut_raises_index_error(self):
+        cert, A = self.pow2_certificate()
+        for value in (float(cert.cuts[1]), cert.cuts[1] - 0.5):
+            bad = self.with_cut(cert, 1, value)
+            assert _answer(verify_density_certificate, bad, A) == "IndexError"
+
+    def test_cuts_out_of_order_or_range(self):
+        cert, A = self.pow2_certificate()
+        cuts, last = cert.cuts, len(cert.cuts) - 1
+        swapped = replace(cert, cuts=(cuts[0], cuts[2], cuts[1]) + cuts[3:])
+        for bad in (swapped, self.with_cut(cert, 1, -1),
+                    self.with_cut(cert, 0, -1), self.with_cut(cert, last, 4097),
+                    self.with_cut(cert, last - 1, 5000)):
+            assert verify_density_certificate(bad, A) is False
+
+    def test_alpha_beyond_int64(self):
+        # 2 * count * 10**30 leaves int64: the check runs on Python ints
+        cert, A = self.pow2_certificate()
+        tiny = Fraction(1, 10 ** 30)
+        assert verify_density_certificate(replace(cert, alpha=tiny), A) is False
+        # no member of pow2 in [1025, 1985]: every block is empty and sparse
+        exact = find_regular_point(A, (1025, 2048), tiny, 64)
+        assert isinstance(exact, PartitionCertificate)
+        assert verify_density_certificate(exact, A) is True
+        assert verify_density_certificate(self.with_count(exact, 0, 1), A) is False
+        good = find_regular_point(A, (0, 4096), tiny, 64)
+        assert good == GoodPoint(1, tiny, 64, (0, 4096))
+        assert verify_good_point(good, A) is True
+        assert verify_good_point(replace(good, x=3), A) is False
+
+    def test_shifted_good_point(self):
+        m = zw(100, 50)
+        A = DenseSet.from_members(m, range(10))
+        good = find_regular_point(A, (0, 100), Fraction(1), 20)
+        assert good == GoodPoint(0, Fraction(1), 20, (0, 100))
+        assert verify_good_point(good, A) is True
+        assert verify_good_point(replace(good, x=1), A) is False
+        assert verify_good_point(replace(good, x=-1, interval=(-1, 100)), A) is False
+        assert verify_good_point(replace(good, horizon=21), A) is False
+        assert _answer(verify_good_point, replace(good, horizon=101), A) == "ModelMismatch"

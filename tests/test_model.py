@@ -184,6 +184,17 @@ class TestSetFiles:
         write_set_file(path, [2, 3, 4], size=10, fmt="rle")
         assert path.read_text() == "RLE1:10:2,3,5\n"
 
+    @pytest.mark.parametrize("fmt", ["list", "rle"])
+    @pytest.mark.parametrize("members", [[], list(range(64)), [3, 60, 61, 62, 63]],
+                             ids=["empty", "full", "run-ends-at-M"])
+    def test_round_trip_edges(self, tmp_path, fmt, members):
+        path = tmp_path / "a.set"
+        A = DenseSet.from_members(zw(64, 32), members)
+        write_set_file(path, A.members(), size=64, fmt=fmt)
+        got, size = read_set_file(path)
+        assert got == members
+        assert size == (64 if fmt == "rle" else None)
+
     @given(st.sets(st.integers(0, 99)))
     @settings(max_examples=50, deadline=None)
     def test_rle_round_trip_random(self, members):

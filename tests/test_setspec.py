@@ -1,3 +1,5 @@
+import os
+import tempfile
 from fractions import Fraction
 
 import pytest
@@ -9,6 +11,8 @@ from sumcore import (
     BohrSet,
     Complement,
     Explicit,
+    FileSet,
+    Intersect,
     Multiples,
     ParseError,
     PowersOf2,
@@ -21,11 +25,80 @@ from sumcore import (
     parse_set_spec,
     spec_to_text,
 )
-from sumcore.setspec import splitmix64
+from sumcore.model import cyclic_table, iter_bits
+from sumcore.setspec import GOLDEN, splitmix64
 
 
 def zw(M, L):
     return build_model({"kind": "zwindow", "M": M, "L": L})
+
+
+def carrier(n):
+    """A model with carrier size n (ZWindow needs n >= 4)."""
+    if n >= 4:
+        return zw(n, n // 2)
+    return build_model({"kind": "cayley", "table": cyclic_table(n)})
+
+
+# members of the set file the generator equivalence test writes: some
+# beyond every carrier it uses, one beyond 2^64
+FILE_MEMBERS = [0, 3, 3, 7, 40, 63, 64, 99, 150, 1 << 64, (1 << 70) + 1]
+
+
+def scalar_member(node, x, n):
+    """Membership of x in a SetSpec by the DSL definitions, element by element."""
+    if isinstance(node, Multiples):
+        return x % node.q == node.offset % node.q
+    if isinstance(node, PowersOf2):
+        return x > 0 and x & (x - 1) == 0
+    if isinstance(node, Bernoulli):
+        draw = splitmix64(node.seed + (x + 1) * GOLDEN)
+        return draw < (node.delta.numerator << 64) // node.delta.denominator
+    if isinstance(node, BohrSet):
+        r = x * node.num % node.den
+        return min(r, node.den - r) * node.eps.denominator < node.eps.numerator * node.den
+    if isinstance(node, Threshold):
+        return x >= node.t
+    if isinstance(node, Explicit):
+        return x in node.members
+    if isinstance(node, FileSet):
+        return x in FILE_MEMBERS
+    if isinstance(node, Union):
+        return scalar_member(node.left, x, n) or scalar_member(node.right, x, n)
+    if isinstance(node, Intersect):
+        return scalar_member(node.left, x, n) and scalar_member(node.right, x, n)
+    if isinstance(node, Translate):
+        return 0 <= x - node.k < n and scalar_member(node.child, x - node.k, n)
+    if isinstance(node, Complement):
+        return not scalar_member(node.child, x, n)
+    raise AssertionError(node)
+
+
+@st.composite
+def carrier_and_spec(draw, path):
+    n = draw(st.sampled_from([2, 3, 4, 5, 8, 13, 16, 33, 64, 100]))
+    fractions = st.builds(lambda d, k: Fraction(k % d or 1, d),
+                          st.integers(2, 10 ** 6), st.integers(1, 10 ** 6))
+    leaves = st.one_of(
+        st.builds(Multiples, st.integers(1, 2 * n + 3), st.integers(-50, 50)),
+        st.just(PowersOf2()),
+        st.builds(Bernoulli, st.sampled_from([Fraction(0), Fraction(1, 3), Fraction(1)]),
+                  st.integers(0, 2 ** 64)),
+        st.builds(BohrSet, st.integers(-(1 << 62), 1 << 62),
+                  st.sampled_from([1, 7, 113, 470832, (1 << 32) + 15, 10 ** 18 + 9]),
+                  fractions),
+        st.builds(Threshold, st.integers(-3, n + 3)),
+        st.builds(lambda xs: Explicit(tuple(xs)),
+                  st.lists(st.integers(0, n - 1), max_size=6)),
+        st.just(FileSet(path)),
+    )
+    tree = draw(st.recursive(leaves, lambda kids: st.one_of(
+        st.builds(Union, kids, kids),
+        st.builds(Intersect, kids, kids),
+        st.builds(Translate, kids, st.integers(-n - 2, n + 2)),
+        st.builds(Complement, kids),
+    ), max_leaves=4))
+    return n, tree
 
 
 class TestGenerate:
@@ -111,6 +184,53 @@ class TestGenerate:
         assert generate_set(m, spec).bits == generate_set(m, spec).bits
 
 
+class TestGeneratorEquivalence:
+    """Every leaf and combinator against its element-by-element definition."""
+
+    @classmethod
+    def setup_class(cls):
+        cls.tmp = tempfile.TemporaryDirectory()
+        cls.path = os.path.join(cls.tmp.name, "members.set")
+        with open(cls.path, "w") as fh:
+            fh.write("".join(f"{m}\n" for m in reversed(FILE_MEMBERS)))
+
+    @classmethod
+    def teardown_class(cls):
+        cls.tmp.cleanup()
+
+    def test_generated_sets_match_definitions(self):
+        @given(carrier_and_spec(self.path))
+        @settings(max_examples=300, deadline=None)
+        def check(case):
+            n, tree = case
+            A = generate_set(carrier(n), tree)
+            want = [x for x in range(n) if scalar_member(tree, x, n)]
+            assert A.members() == want
+            assert A.members() == list(iter_bits(A.bits))
+            assert len(A) == len(want)
+
+        check()
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 64])
+    def test_pow2_small_carriers(self, n):
+        A = generate_set(carrier(n), PowersOf2())
+        assert A.members() == [p for p in (1, 2, 4, 8, 16, 32) if p < n]
+
+    def test_named_edge_cases(self):
+        m = zw(10, 5)
+        assert generate_set(m, Multiples(3, -1)).members() == [2, 5, 8]
+        assert generate_set(m, Multiples(25, 7)).members() == [7]
+        assert generate_set(m, Multiples(25, 17)).members() == []
+        assert generate_set(m, Explicit((4, 1, 4, 1))).members() == [1, 4]
+        assert generate_set(m, Explicit(())).members() == []
+        # denominators above 2^32; near 10^18 the products leave int64
+        for q in ((1 << 32) + 15, 10 ** 18 + 9):
+            p = GOLDEN % q
+            A = generate_set(zw(1 << 12, 1 << 11), BohrSet(p, q, Fraction(1, 4)))
+            assert A.members() == [x for x in range(1 << 12)
+                                   if min(x * p % q, q - x * p % q) * 4 < q]
+
+
 class TestParse:
     def test_union_translate(self):
         tree = parse_set_spec("union(pow2, translate(pow2, 3))")
@@ -171,6 +291,20 @@ class TestParse:
         "intersect(threshold(4),complement(pow2))",
         "translate(multiples(3,1),-2)",
     ]
+
+    @pytest.mark.parametrize("spec", [
+        Explicit(()),
+        FileSet("a b.set"),
+        FileSet("x(1).set"),
+        FileSet("dir,1/it's.set"),
+        FileSet('say "hi".set'),
+    ], ids=["empty-explicit", "space", "parens", "comma-and-quote", "double-quote"])
+    def test_print_parse_identity(self, spec):
+        assert parse_set_spec(spec_to_text(spec)) == spec
+
+    def test_path_with_both_quotes_rejected(self):
+        with pytest.raises(SpecOutOfRange):
+            spec_to_text(FileSet("""it's "x".set"""))
 
     @pytest.mark.parametrize("text", SPECS)
     def test_parse_print_parse_identity(self, text):

@@ -33,7 +33,7 @@ from . import ladder as ladder_mod
 from . import witness as witness_mod
 from .errors import SumcoreError
 from .ladder import LadderCertificate
-from .model import build_model, set_file_text, write_set_file
+from .model import build_model, cyclic_table, set_file_text, write_set_file
 from .setspec import generate_set, parse_set_spec, spec_to_text
 
 
@@ -43,9 +43,7 @@ def parse_model_arg(text):
     if parts[0] == "zwindow" and len(parts) == 3:
         return build_model({"kind": "zwindow", "M": int(parts[1]), "L": int(parts[2])})
     if parts[0] == "zmod" and len(parts) == 2:
-        n = int(parts[1])
-        table = [[(i + j) % n for j in range(n)] for i in range(n)]
-        return build_model({"kind": "cayley", "table": table})
+        return build_model({"kind": "cayley", "table": cyclic_table(int(parts[1]))})
     if parts[0] == "cayley" and len(parts) >= 2:
         path = text.split(":", 1)[1]
         with open(path) as fh:

@@ -17,8 +17,12 @@ when the search exhausts its tree within budget.
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import ModelMismatch
-from .model import DenseSet, iter_bits, iter_bits_desc, quotient
+from .model import DenseSet, Relation, iter_bits, iter_bits_desc
+# bench/tracing.py wraps ``sumcore.ladder.quotient`` by name
+from .model import quotient  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -68,22 +72,9 @@ def max_ladder(A: DenseSet, model, k_max: int, budget=None) -> LadderResult:
     """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
-    domain = model.operand_mask
     bud = _Budget(budget)
-
-    # memoized quotients of A by each used element
-    in_right = {}    # c -> {b : b*c in A}
-    in_left = {}     # b -> {c : b*c in A}
-
-    def right_q(c):
-        if c not in in_right:
-            in_right[c] = quotient(A, c, "right").bits & domain
-        return in_right[c]
-
-    def left_q(b):
-        if b not in in_left:
-            in_left[b] = quotient(A, b, "left").bits & domain
-        return in_left[b]
+    rel = Relation(A)
+    domain, left_q, right_q = rel.domain, rel.left, rel.right
 
     best = {"k": 0, "cert": None}
 
@@ -103,7 +94,8 @@ def max_ladder(A: DenseSet, model, k_max: int, budget=None) -> LadderResult:
         for b in iter_bits_desc(pool_b & ~used_b):
             if not bud.spend():
                 return
-            pc = pool_c & left_q(b) & ~used_c
+            pool_next = pool_c & left_q(b)
+            pc = pool_next & ~used_c
             if not pc:
                 continue
             for c in iter_bits(pc):
@@ -116,8 +108,8 @@ def max_ladder(A: DenseSet, model, k_max: int, budget=None) -> LadderResult:
                     return
                 extend(
                     bs, cs,
-                    pool_b & ~right_q(c) & domain,
-                    pool_c & left_q(b),
+                    pool_b & ~right_q(c),
+                    pool_next,
                     used_b | (1 << b),
                     used_c | (1 << c),
                 )
@@ -132,25 +124,16 @@ def max_ladder(A: DenseSet, model, k_max: int, budget=None) -> LadderResult:
 
 
 def verify_ladder(cert: LadderCertificate, A: DenseSet, model) -> bool:
-    """Recheck the full k x k iff-pattern from the bitset."""
+    """Recheck the full k x k iff-pattern: the grid is true exactly on and
+    above the diagonal."""
     if A.model != model:
         raise ModelMismatch("set and model disagree")
     n = model.carrier_size
     if any(not (0 <= x < n) for x in cert.b + cert.c):
         raise ModelMismatch("certificate element outside the carrier")
+    rel = Relation(A)
+    ops = rel.operands(cert.b, cert.c)
     k = len(cert.b)
-    if len(cert.c) != k or k == 0:
+    if ops is None or len(cert.c) != k:
         return False
-    if len(set(cert.b)) != k or len(set(cert.c)) != k:
-        return False
-    domain = model.operand_mask
-    if any(not (domain >> x) & 1 for x in cert.b + cert.c):
-        return False
-    for i, b in enumerate(cert.b):
-        for j, c in enumerate(cert.c):
-            prod = model.op(b, c)
-            if prod is None:
-                return False
-            if A.contains(prod) != (i <= j):
-                return False
-    return True
+    return bool((rel.grid(*ops) == ~np.tri(k, k=-1, dtype=bool)).all())

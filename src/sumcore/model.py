@@ -20,9 +20,19 @@ are whole-array operations on that view.  Going the other way, every
 bitset built from an array or a list of elements is built through one
 mask path, ``from_mask``: a bool mask, packed little-endian and read as
 one integer.
+
+Every search and verifier of witnesses and ladders reads the relation
+b·c ∈ A through one ``Relation``: the operand bitsets {c : b·c ∈ A} and
+{b : b·c ∈ A} (a shift of A on a ZWindow, a memoized ``quotient`` on a
+Cayley group) and, for verifiers, the bool grid of b·c ∈ A over two
+operand sequences, one numpy gather at the sums or at the entries of the
+Cayley table held as an integer array.  Cayley ``quotient`` and
+``translate`` are gathers over that array too.
 """
 
+import operator
 from dataclasses import dataclass
+from functools import cache, cached_property, partial
 from itertools import accumulate, chain
 
 import numpy as np
@@ -116,6 +126,11 @@ class CayleyGroup:
 
     def op(self, a, b):
         return self.table[a][b]
+
+    @cached_property
+    def _table_array(self):
+        """The table as an integer array, built on first use."""
+        return np.array(self.table, dtype=np.intp)
 
     def describe(self):
         return f"cayley:{self.order}"
@@ -254,18 +269,10 @@ def quotient(A: DenseSet, g: int, side: str) -> DenseSet:
     if isinstance(model, ZWindow):
         # addition is commutative: both sides are A - g clipped to the window
         return DenseSet(model, A.bits >> g)
-    table = model.table
-    bits = 0
-    if side == "right":
-        for b in range(n):
-            if A.contains(table[b][g]):
-                bits |= 1 << b
-    else:
-        row = table[g]
-        for c in range(n):
-            if A.contains(row[c]):
-                bits |= 1 << c
-    return DenseSet(model, bits)
+    g = operator.index(g)  # a non-integer is a TypeError, not numpy's IndexError
+    table = model._table_array
+    products = table[:, g] if side == "right" else table[g]
+    return DenseSet(model, from_mask(A.to_numpy()[products]))
 
 
 def translate(A: DenseSet, g: int) -> DenseSet:
@@ -278,11 +285,61 @@ def translate(A: DenseSet, g: int) -> DenseSet:
         return DenseSet(model, A.bits >> (-g))
     if not (0 <= g < n):
         raise ElementOutOfRange(f"element {g} outside carrier of size {n}")
-    bits = 0
-    row = model.table[g]
-    for a in iter_bits(A.bits):
-        bits |= 1 << row[a]
-    return DenseSet(model, bits)
+    mask = np.zeros(n, dtype=bool)
+    mask[model._table_array[operator.index(g)][A.to_numpy()]] = True
+    return DenseSet(model, from_mask(mask))
+
+
+class Relation:
+    """The product relation b·c ∈ A between the operands of A's carrier.
+
+    ``domain`` is the bitset of the operands and ``bound`` their number
+    (L on a ZWindow, n on a Cayley group of order n).  ``left(b)`` is the
+    bitset of {c : b·c ∈ A} and ``right(c)`` that of {b : b·c ∈ A}, as
+    ``quotient`` gives them: over the whole carrier, so a search
+    intersects them with its operand pools.  On a ZWindow both are one
+    shift of A, recomputed on each call (a cache would only cost memory);
+    on a Cayley group each is computed once per element through
+    ``quotient``.
+
+    ``grid(bs, cs)`` is the bool array whose ``[i, j]`` is set iff
+    bs[i]·cs[j] ∈ A, one gather from ``A.to_numpy()`` at the products
+    ``bs[i] + cs[j]`` or ``table[bs[i], cs[j]]``.  Its index arrays must
+    come from ``operands``, or be sliced from arrays it returned: numpy
+    would wrap a negative index around to the end of A.
+    """
+
+    def __init__(self, A):
+        model = A.model
+        self.domain = domain = model.operand_mask
+        self.bound = domain.bit_length()
+        self._A = A
+        if isinstance(model, ZWindow):
+            self.left = self.right = partial(operator.rshift, A.bits)
+            self._products = np.add.outer
+        else:
+            self.left = cache(lambda g: quotient(A, g, "left").bits)
+            self.right = cache(lambda g: quotient(A, g, "right").bits)
+            table = model._table_array
+            self._products = lambda bs, cs: table[np.ix_(bs, cs)]
+
+    def operands(self, bs, cs):
+        """bs and cs as index arrays when each is a non-empty sequence of
+        distinct operands (integers in the operand range), else None."""
+        out = []
+        for xs in (bs, cs):
+            try:
+                xs = [operator.index(x) for x in xs]
+            except TypeError:
+                return None
+            if not xs or len(set(xs)) < len(xs) \
+                    or not all(0 <= x < self.bound for x in xs):
+                return None
+            out.append(np.array(xs, dtype=np.intp))
+        return out
+
+    def grid(self, bs, cs):
+        return self._A.to_numpy()[self._products(bs, cs)]
 
 
 # --- set files -------------------------------------------------------------
@@ -325,6 +382,8 @@ def read_set_file(path):
 def set_file_text(members, size=None, fmt="list"):
     """The text of a set file holding ``members`` (any order, repeats allowed)."""
     members = sorted(set(members))
+    if members and members[0] < 0:
+        raise SumcoreError("set files hold non-negative integers")
     if fmt == "list":
         return "\n".join(map(str, members)) + "\n" if members else ""
     if fmt != "rle":

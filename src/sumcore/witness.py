@@ -13,8 +13,9 @@ The central objects are
   element sets.
 
 Exact searches are canonical: the witness returned is lexicographically
-least (B extended before C), so outcomes are reproducible and
-independent of any internal parallelism.
+least (B extended before C), so outcomes are reproducible.
+Searches and verifiers read b*c in A through one ``Relation``; only the
+definable search, which runs on ZWindows alone, inlines its shifts.
 """
 
 from dataclasses import dataclass
@@ -23,7 +24,9 @@ import numpy as np
 
 from .errors import InvalidInput, ModelMismatch
 from .ladder import LadderCertificate, _Budget
-from .model import DenseSet, ZWindow, iter_bits, quotient
+from .model import DenseSet, Relation, ZWindow, iter_bits
+# bench/tracing.py wraps ``sumcore.witness.quotient`` by name
+from .model import quotient  # noqa: F401
 from .setspec import splitmix_stream
 
 
@@ -93,23 +96,6 @@ class UpgradeResult:
     ladder: object  # LadderCertificate when tag == "ladder"
 
 
-def _left_q(A, b, domain, cache):
-    # ZWindow quotients are single shifts; caching would only cost memory
-    if isinstance(A.model, ZWindow):
-        return (A.bits >> b) & domain
-    if b not in cache:
-        cache[b] = quotient(A, b, "left").bits & domain
-    return cache[b]
-
-
-def _right_q(A, c, domain, cache):
-    if isinstance(A.model, ZWindow):
-        return (A.bits >> c) & domain
-    if c not in cache:
-        cache[c] = quotient(A, c, "right").bits & domain
-    return cache[c]
-
-
 # When the surviving pool is small, any further b must hit it, so the
 # candidates are confined to the union of right quotients of the pool
 # members.  This turns exhaustive refutations on sparse sets (powers of
@@ -117,10 +103,10 @@ def _right_q(A, c, domain, cache):
 _POOL_UNION_LIMIT = 64
 
 
-def _pool_union(A, pool, domain, rcache):
+def _pool_union(rel, pool):
     cand = 0
     for c in iter_bits(pool):
-        cand |= _right_q(A, c, domain, rcache)
+        cand |= rel.right(c)
     return cand
 
 
@@ -159,12 +145,11 @@ def find_square_witness(A: DenseSet, model, k: int, mode="exact", budget=None):
     if mode != "exact":
         raise ValueError(f"unknown mode {mode!r}")
 
-    domain = model.operand_mask
+    rel = Relation(A)
+    domain = rel.domain
     if domain.bit_count() < k:
         return NotFound(exhaustive=True)
     bud = _Budget(budget)
-    lcache = {}
-    rcache = {}
 
     def extend(chosen, pool, min_next):
         """DFS over increasing b's; pool = surviving C candidates."""
@@ -172,11 +157,11 @@ def find_square_witness(A: DenseSet, model, k: int, mode="exact", budget=None):
             return SquareWitness(tuple(chosen), _smallest_k(pool, k))
         cand = (domain >> min_next) << min_next
         if chosen and pool.bit_count() <= _POOL_UNION_LIMIT:
-            cand &= _pool_union(A, pool, domain, rcache)
+            cand &= _pool_union(rel, pool)
         for b in iter_bits(cand):
             if not bud.spend():
                 return None
-            np_ = pool & _left_q(A, b, domain, lcache)
+            np_ = pool & rel.left(b)
             if np_.bit_count() < k:
                 continue
             chosen.append(b)
@@ -193,28 +178,12 @@ def find_square_witness(A: DenseSet, model, k: int, mode="exact", budget=None):
 
 
 def verify_square_witness(w: SquareWitness, A: DenseSet, model) -> bool:
-    """Direct product enumeration check."""
+    """Every product b*c in A: the whole grid is true."""
     if A.model != model:
         raise ModelMismatch("set and model disagree")
-    k = len(w.b)
-    if k == 0 or len(w.c) != k:
-        return False
-    if len(set(w.b)) != k or len(set(w.c)) != k:
-        return False
-    domain = model.operand_mask
-    if any(not (domain >> x) & 1 for x in w.b + w.c):
-        return False
-    if isinstance(model, ZWindow) and k > 64:
-        # operands below L keep every sum inside the carrier
-        bs = np.asarray(w.b, dtype=np.int64)
-        cs = np.asarray(w.c, dtype=np.int64)
-        return bool(A.to_numpy()[bs[:, None] + cs[None, :]].all())
-    for b in w.b:
-        for c in w.c:
-            prod = model.op(b, c)
-            if prod is None or not A.contains(prod):
-                return False
-    return True
+    rel = Relation(A)
+    ops = rel.operands(w.b, w.c)
+    return ops is not None and len(w.b) == len(w.c) and bool(rel.grid(*ops).all())
 
 
 # --- triangular witnesses -----------------------------------------------------
@@ -240,10 +209,9 @@ def find_triangular_witness(A: DenseSet, model, m: int, scorer=None, budget=None
             return TriangularWitness(res.b, res.c)
         return NotFound(exhaustive=False)
 
-    domain = model.operand_mask
     bud = _Budget(budget)
-    lcache = {}
-    rcache = {}
+    rel = Relation(A)
+    domain = rel.domain
 
     def pick_cs(pools, used, acc):
         j = len(acc)
@@ -272,13 +240,13 @@ def find_triangular_witness(A: DenseSet, model, m: int, scorer=None, budget=None
             return TriangularWitness(tuple(bs), got)
         prev = pools[-1] if pools else domain
         if i > 0 and prev.bit_count() <= _POOL_UNION_LIMIT:
-            cand = _pool_union(A, prev, domain, rcache) & domain & ~used_b
+            cand = _pool_union(rel, prev) & domain & ~used_b
         else:
             cand = domain & ~used_b
         for b in iter_bits(cand):
             if not bud.spend():
                 return None
-            np_ = prev & _left_q(A, b, domain, lcache)
+            np_ = prev & rel.left(b)
             if np_.bit_count() < m - i:
                 continue
             bs.append(b)
@@ -297,30 +265,16 @@ def find_triangular_witness(A: DenseSet, model, m: int, scorer=None, budget=None
 
 
 def verify_triangular_witness(w: TriangularWitness, A: DenseSet, model) -> bool:
+    """b_i*c_j in A for i <= j: the grid is true on and above the diagonal."""
     if A.model != model:
         raise ModelMismatch("set and model disagree")
-    m = len(w.b)
-    if m == 0 or len(w.c) != m:
+    rel = Relation(A)
+    ops = rel.operands(w.b, w.c)
+    if ops is None or len(w.b) != len(w.c):
         return False
-    if len(set(w.b)) != m or len(set(w.c)) != m:
-        return False
-    domain = model.operand_mask
-    if any(not (domain >> x) & 1 for x in w.b + w.c):
-        return False
-    if isinstance(model, ZWindow) and m > 64:
-        # vectorized check for large witnesses
-        bs = np.asarray(w.b, dtype=np.int64)
-        cs = np.asarray(w.c, dtype=np.int64)
-        prods = bs[:, None] + cs[None, :]
-        mem = A.to_numpy()[prods]
-        iu = np.triu_indices(m)
-        return bool(mem[iu].all())
-    for i, b in enumerate(w.b):
-        for j in range(i, m):
-            prod = model.op(b, w.c[j])
-            if prod is None or not A.contains(prod):
-                return False
-    return True
+    grid = rel.grid(*ops)
+    grid |= np.tri(len(w.b), k=-1, dtype=bool)
+    return bool(grid.all())
 
 
 # --- greedy back-and-forth ----------------------------------------------------
@@ -345,9 +299,8 @@ def greedy_back_and_forth(A: DenseSet, model, k: int, scorer="pool_size", seed=0
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    domain = model.operand_mask
-    lcache = {}
-    rcache = {}
+    rel = Relation(A)
+    domain = rel.domain
     rng = splitmix_stream(seed) if scorer == "random" else None
 
     def pick(pool, opposite, quot):
@@ -377,18 +330,18 @@ def greedy_back_and_forth(A: DenseSet, model, k: int, scorer="pool_size", seed=0
         avail_b = pool_b & ~used_b
         if not avail_b:
             return Stuck(tuple(bs), tuple(cs))
-        b = pick(avail_b, pool_c & ~used_c, lambda g: _left_q(A, g, domain, lcache))
+        b = pick(avail_b, pool_c & ~used_c, rel.left)
         bs.append(b)
         used_b |= 1 << b
-        pool_c &= _left_q(A, b, domain, lcache)
+        pool_c &= rel.left(b)
 
         avail_c = pool_c & ~used_c
         if not avail_c:
             return Stuck(tuple(bs), tuple(cs))
-        c = pick(avail_c, pool_b & ~used_b, lambda g: _right_q(A, g, domain, rcache))
+        c = pick(avail_c, pool_b & ~used_b, rel.right)
         cs.append(c)
         used_c |= 1 << c
-        pool_b &= _right_q(A, c, domain, rcache)
+        pool_b &= rel.right(c)
     return SquareWitness(tuple(bs), tuple(cs))
 
 
@@ -411,48 +364,23 @@ def ramsey_upgrade(tri: TriangularWitness, A: DenseSet, model) -> UpgradeResult:
     """
     if not verify_triangular_witness(tri, A, model):
         raise InvalidInput("input does not verify as a triangular witness")
-    m = tri.m
+    rel = Relation(A)
+    bs_arr, cs_arr = rel.operands(tri.b, tri.c)
 
-    if isinstance(model, ZWindow) and m > 64:
-        # vectorized coloring: one membership gather per pivot level
-        bs_arr = np.asarray(tri.b, dtype=np.int64)
-        cs_arr = np.asarray(tri.c, dtype=np.int64)
-        mem = A.to_numpy()
+    pivots, labels = [], []
+    rest = np.arange(tri.m)
+    while rest.size > 1:
+        pivot, others = rest[0], rest[1:]
+        flags = rel.grid(bs_arr[others], cs_arr[pivot:pivot + 1])[:, 0]
+        hot, cold = others[flags], others[~flags]
+        pivots.append(int(pivot))
+        labels.append(hot.size >= cold.size)
+        rest = hot if labels[-1] else cold
 
-        def colors_of(pivot, others):
-            return mem[bs_arr[others] + cs_arr[pivot]]
-    else:
-        def colors_of(pivot, others):
-            c = tri.c[pivot]
-            return [A.contains(model.op(tri.b[i], c)) for i in others]
-
-    chain = []        # (index, label) pairs; label None for the last pivot
-    rest = list(range(m))
-    while rest:
-        pivot = rest[0]
-        others = rest[1:]
-        if not others:
-            chain.append((pivot, None))
-            break
-        flags = colors_of(pivot, others)
-        hot = [i for i, f in zip(others, flags) if f]
-        cold = [i for i, f in zip(others, flags) if not f]
-        if len(hot) >= len(cold):
-            chain.append((pivot, True))
-            rest = hot
-        else:
-            chain.append((pivot, False))
-            rest = cold
-
-    labelled = [(i, lab) for i, lab in chain if lab is not None]
-    hot_count = sum(1 for _, lab in labelled if lab)
-    cold_count = len(labelled) - hot_count
-    take_hot = hot_count >= cold_count
-    indices = [i for i, lab in labelled if lab == take_hot]
-    tail_i, tail_lab = chain[-1]
-    if tail_lab is None:
-        indices.append(tail_i)
-    indices = tuple(sorted(indices))
+    # the majority label's pivots plus the final, unlabelled one
+    take_hot = 2 * sum(labels) >= len(labels)
+    indices = [i for i, lab in zip(pivots, labels) if lab == take_hot]
+    indices = tuple(sorted(indices + [int(rest[0])]))
 
     bs = tuple(tri.b[i] for i in indices)
     cs = tuple(tri.c[i] for i in indices)
@@ -498,13 +426,14 @@ def definable_witness_search(A: DenseSet, model, family, n: int,
     else:
         raise ValueError(f"unknown family {family!r}")
 
-    L = model.operand_bound
     bud = _Budget(budget)
-    domain = model.operand_mask
+    rel = Relation(A)
+    L, domain = rel.bound, rel.domain
 
     # Parameters scan in canonical order (step1, start1, step2, start2).
     # For each left progression, the survivors V = ∩_i (A - (s1 + i*d1))
-    # are computed once as a bitset; the right progression must start
+    # are computed once as a bitset (rel.left(x) is the shift A >> x,
+    # inlined in this inner loop); the right progression must start
     # inside V, which keeps the inner scan near-linear.
     for d1 in steps:
         span1 = (n - 1) * d1
@@ -544,19 +473,15 @@ def verify_definable_witness(w: DefinableWitness, A: DenseSet, model) -> bool:
     t1, t2 = w.theta1, w.theta2
     if w.family not in ("intervals", "aps"):
         return False
-    L = model.operand_bound
+    rel = Relation(A)
     for t in (t1, t2):
         # operands lie in [0, L); intervals are progressions of step 1
         if t.length < 1 or t.step < 1 or (w.family == "intervals" and t.step != 1):
             return False
-        if t.start < 0 or t.start + (t.length - 1) * t.step >= L:
+        if t.start < 0 or t.start + (t.length - 1) * t.step >= rel.bound:
             return False
-    for x in t1.elements():
-        for y in t2.elements():
-            prod = model.op(x, y)
-            if prod is None or not A.contains(prod):
-                return False
-    return True
+    ops = rel.operands(t1.elements(), t2.elements())
+    return ops is not None and bool(rel.grid(*ops).all())
 
 
 # --- growth curve ---------------------------------------------------------------

@@ -18,6 +18,61 @@ def in_set(A, model, b, c):
     return prod is not None and A.contains(prod)
 
 
+def is_operand(model, x):
+    """x is an integer witness operand of model: 0..L-1, or any group element."""
+    return isinstance(x, int) and 0 <= x < model.operand_mask.bit_length()
+
+
+def brute_pattern(A, model, bs, cs, pattern):
+    """Verdict on a k x k certificate, read from model.op alone.
+
+    bs and cs must be equally long, non-empty, duplicate-free operand
+    sequences, and in_set(b_i, c_j) must equal pattern(i, j) wherever that
+    is not None: True everywhere for a square witness, True on and above
+    the diagonal for a triangular one, i <= j for a ladder.
+    """
+    k = len(bs)
+    if k == 0 or len(cs) != k:
+        return False
+    if not all(is_operand(model, x) for x in bs + cs):
+        return False
+    if len(set(bs)) != k or len(set(cs)) != k:
+        return False
+    return all(pattern(i, j) in (None, in_set(A, model, bs[i], cs[j]))
+               for i in range(k) for j in range(k))
+
+
+def brute_definable(w, A, model):
+    """Verdict on a DefinableWitness: two valid progressions, all products in A."""
+    if w.family not in ("intervals", "aps"):
+        return False
+    for t in (w.theta1, w.theta2):
+        if t.length < 1 or t.step < 1 or (w.family == "intervals" and t.step != 1):
+            return False
+    xs, ys = w.set1, w.set2
+    if not all(is_operand(model, x) for x in xs + ys):
+        return False
+    return all(in_set(A, model, x, y) for x in xs for y in ys)
+
+
+def brute_cover(cert, A, model):
+    """Verdict on a CoverCertificate: every core element e lies in g*A for
+    the translate g its witness index names, i.e. e = g*a for a member a."""
+    lo, hi = cert.core
+    if not (0 <= lo < hi <= model.carrier_size):
+        return False
+    if len(cert.witness_index) != hi - lo:
+        return False
+    members = A.members()
+    for e, idx in zip(range(lo, hi), cert.witness_index):
+        if not 0 <= idx < len(cert.translates):
+            return False
+        g = cert.translates[idx]
+        if not any(model.op(g, a) == e for a in members):
+            return False
+    return True
+
+
 def brute_square(A, model, k):
     """Lexicographically least square witness, or None.
 

@@ -8,6 +8,7 @@ from sumcore import (
     DenseSet,
     ElementOutOfRange,
     NotALatinSquare,
+    SumcoreError,
     ZWindow,
     build_model,
     cyclic_table,
@@ -16,7 +17,7 @@ from sumcore import (
     translate,
     write_set_file,
 )
-from sumcore.model import bits_of, iter_bits
+from sumcore.model import Relation, bits_of, iter_bits
 
 
 def zw(M, L):
@@ -155,6 +156,28 @@ class TestQuotient:
                         rhs = quotient(A, m.op(h, g), "right")
                         assert lhs.bits == rhs.bits
 
+    @given(st.integers(2, 9), st.randoms(use_true_random=False), st.integers(0, 511))
+    @settings(max_examples=60, deadline=None)
+    def test_cayley_gathers_match_op(self, n, rnd, bits):
+        # rows and columns of Z_n shuffled: a Latin square with b*c != c*b
+        r, c = list(range(n)), list(range(n))
+        rnd.shuffle(r)
+        rnd.shuffle(c)
+        m = build_model({"kind": "cayley",
+                         "table": [[(r[i] + c[j]) % n for j in range(n)] for i in range(n)]})
+        A = DenseSet(m, bits & ((1 << n) - 1))
+        rel = Relation(A)
+        grid = rel.grid(*rel.operands(range(n), range(n)))
+        for g in range(n):
+            right = [b for b in range(n) if A.contains(m.op(b, g))]
+            left = [c for c in range(n) if A.contains(m.op(g, c))]
+            assert quotient(A, g, "right").members() == right
+            assert quotient(A, g, "left").members() == left
+            assert list(iter_bits(rel.right(g))) == right
+            assert list(iter_bits(rel.left(g))) == left
+            assert grid[:, g].nonzero()[0].tolist() == right
+            assert translate(A, g).members() == sorted(m.op(g, a) for a in A.members())
+
     def test_translate_inverts_quotient_on_groups(self):
         m = zn(6)
         A = DenseSet.from_members(m, [0, 2, 3])
@@ -205,6 +228,14 @@ class TestSetFiles:
             write_set_file(path, sorted(members), size=100, fmt="rle")
             got, _ = read_set_file(path)
             assert got == sorted(members)
+
+
+    @pytest.mark.parametrize("fmt", ["list", "rle"])
+    def test_negative_member_rejected(self, tmp_path, fmt):
+        path = tmp_path / "a.set"
+        with pytest.raises(SumcoreError, match="non-negative"):
+            write_set_file(path, [-1, 3], fmt=fmt)
+        assert not path.exists()
 
 
 def test_iter_bits_helpers():

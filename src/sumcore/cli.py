@@ -5,17 +5,19 @@ Every subcommand shares one JSON schema:
 
     {
       "kind": <subcommand>,
-      "parameters": {model, set, seed, budget, ...},
+      "parameters": {model, set, <the subcommand's options>},
       "result": {"status": ..., payload...},
       "certificate": {...} | null,
       "verified": true | false | null,
       "wall_time_ms": <float>
     }
 
-Rationals are serialized as strings "p/q".  Exit codes: 0 = found /
-computed, 1 = NotFound / Infeasible / certificate-of-failure (still a
-valid run), 2 = error.  Reports are byte-identical across runs with the
-same arguments and seed, except for the wall_time_ms field.
+Rationals are serialized as strings "p/q".  Each subcommand's handler
+only answers: it returns (result, certificate, verified[, csv rows]).
+One runner times, loads, reports, writes and picks the exit code for all
+of them: 1 iff result["status"] is a definite negative (not_found,
+infeasible, partition), else 0; 2 = error.  Reports are byte-identical
+across runs with the same arguments, except for the wall_time_ms field.
 """
 
 import argparse
@@ -32,9 +34,8 @@ from . import density as density_mod
 from . import ladder as ladder_mod
 from . import witness as witness_mod
 from .errors import SumcoreError
-from .ladder import LadderCertificate
-from .model import build_model, cyclic_table, set_file_text, write_set_file
-from .setspec import generate_set, parse_set_spec, spec_to_text
+from .model import build_model, cyclic_table, set_file_text
+from .setspec import generate_set, parse_set_spec
 
 
 def parse_model_arg(text):
@@ -52,8 +53,9 @@ def parse_model_arg(text):
     raise SumcoreError(f"cannot parse model {text!r}")
 
 
-def parse_fraction(text):
-    return Fraction(text)
+def _int_list(text):
+    """'a,b,...' as a list of ints."""
+    return [int(x) for x in text.split(",")]
 
 
 def parse_pair(text):
@@ -82,23 +84,6 @@ def to_jsonable(obj):
     return repr(obj)
 
 
-def emit(report, args, rows=None):
-    """Write the report (json) or tabular rows (csv) to --output/stdout."""
-    if args.out == "csv" and rows is not None:
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        for row in rows:
-            writer.writerow(row)
-        text = buf.getvalue()
-    else:
-        text = json.dumps(report, indent=2, sort_keys=True) + "\n"
-    if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
 def build_report(kind, params, result, certificate, verified, t0):
     return {
         "kind": kind,
@@ -110,230 +95,118 @@ def build_report(kind, params, result, certificate, verified, t0):
     }
 
 
-def common_params(args, **extra):
-    params = {
-        "model": args.model,
-        "set": args.set,
-        "seed": args.seed,
-        "budget": args.budget,
-    }
-    params.update(extra)
-    return params
-
-
-def load_instance(args):
-    model = parse_model_arg(args.model)
-    spec = parse_set_spec(args.set)
-    A = generate_set(model, spec)
-    return model, A
-
-
 # --- subcommand handlers -----------------------------------------------------
+#
+# Each takes (args, model, A) and returns (result, certificate, verified),
+# followed by its CSV rows where it has them; only ``gen`` writes output.
 
 
-def cmd_gen(args):
-    model, A = load_instance(args)
-    if args.output:
-        write_set_file(args.output, A.members(), size=model.carrier_size,
-                       fmt=args.format)
+def _write(path, text):
+    """Write text to the file at path, or to stdout when path is None."""
+    if path:
+        with open(path, "w") as fh:
+            fh.write(text)
     else:
-        sys.stdout.write(set_file_text(A.members(), size=model.carrier_size,
-                                       fmt=args.format))
-    return 0
+        sys.stdout.write(text)
 
 
-def cmd_density(args):
-    t0 = time.perf_counter()
-    model, A = load_instance(args)
+def _not_found(res):
+    return {"status": "not_found", "exhaustive": res.exhaustive}, None, None
+
+
+def cmd_gen(args, model, A):
+    _write(args.output, set_file_text(A.members(), size=model.carrier_size,
+                                      fmt=args.format))
+
+
+def cmd_density(args, model, A):
     if args.schedule:
-        lengths = [int(x) for x in args.schedule.split(",")]
-        reports = density_mod.density_schedule(A, lengths)
-        result = {"status": "computed", "schedule": reports}
+        reports = density_mod.density_schedule(A, args.schedule)
         rows = [("n", "best_start", "count", "density")]
         rows += [(r.window_length, r.best_start, r.count,
                   f"{r.density.numerator}/{r.density.denominator}")
                  for r in reports]
-        report = build_report("density",
-                              common_params(args, schedule=args.schedule),
-                              result, None, None, t0)
-        emit(report, args, rows=rows)
-        return 0
+        return {"status": "computed", "schedule": reports}, None, None, rows
     n = args.n if args.n is not None else min(model.carrier_size, 1000)
-    rep = density_mod.banach_density(A, n)
-    report = build_report("density", common_params(args, n=args.n),
-                          {"status": "computed", "report": rep}, None, None, t0)
-    emit(report, args)
-    return 0
+    return {"status": "computed", "report": density_mod.banach_density(A, n)}, None, None
 
 
-def cmd_find_point(args):
-    t0 = time.perf_counter()
-    model, A = load_instance(args)
-    interval = parse_pair(args.interval) if args.interval else (0, model.carrier_size)
+def cmd_find_point(args, model, A):
+    interval = args.interval or (0, model.carrier_size)
     res = density_mod.find_regular_point(A, interval, args.alpha, args.N)
-    params = common_params(args, interval=list(interval),
-                           alpha=args.alpha, N=args.N)
     if isinstance(res, density_mod.GoodPoint):
-        verified = density_mod.verify_good_point(res, A)
-        report = build_report("find-point", params,
-                              {"status": "good_point", "x": res.x},
-                              res, verified, t0)
-        emit(report, args)
-        return 0
-    verified = density_mod.verify_density_certificate(res, A)
-    report = build_report("find-point", params,
-                          {"status": "partition", "blocks": len(res.block_counts)},
-                          res, verified, t0)
-    emit(report, args)
-    return 1
+        return ({"status": "good_point", "x": res.x}, res,
+                density_mod.verify_good_point(res, A))
+    return ({"status": "partition", "blocks": len(res.block_counts)}, res,
+            density_mod.verify_density_certificate(res, A))
 
 
-def cmd_ladder(args):
-    t0 = time.perf_counter()
-    model, A = load_instance(args)
+def cmd_ladder(args, model, A):
     res = ladder_mod.max_ladder(A, model, args.k_max, budget=args.budget)
     verified = None
     if res.certificate is not None:
         verified = ladder_mod.verify_ladder(res.certificate, A, model)
-    report = build_report(
-        "ladder", common_params(args, k_max=args.k_max),
-        {"status": "computed", "k": res.k,
-         "lower_bound_only": res.lower_bound_only},
-        res.certificate, verified, t0)
-    emit(report, args)
-    return 0
+    return ({"status": "computed", "k": res.k,
+             "lower_bound_only": res.lower_bound_only},
+            res.certificate, verified)
 
 
-def cmd_witness(args):
-    t0 = time.perf_counter()
-    model, A = load_instance(args)
+def cmd_witness(args, model, A):
     res = witness_mod.find_square_witness(A, model, args.k, mode=args.mode,
                                           budget=args.budget)
-    params = common_params(args, k=args.k, mode=args.mode)
     if isinstance(res, witness_mod.SquareWitness):
-        verified = witness_mod.verify_square_witness(res, A, model)
-        report = build_report("witness", params,
-                              {"status": "found", "k": args.k}, res, verified, t0)
-        emit(report, args)
-        return 0
-    report = build_report("witness", params,
-                          {"status": "not_found", "exhaustive": res.exhaustive},
-                          None, None, t0)
-    emit(report, args)
-    return 1
+        return ({"status": "found", "k": args.k}, res,
+                witness_mod.verify_square_witness(res, A, model))
+    return _not_found(res)
 
 
-def cmd_triangular(args):
-    t0 = time.perf_counter()
-    model, A = load_instance(args)
+def cmd_triangular(args, model, A):
     scorer = None if args.scorer == "exact" else args.scorer
     res = witness_mod.find_triangular_witness(A, model, args.m, scorer=scorer,
                                               budget=args.budget, seed=args.seed)
-    params = common_params(args, m=args.m, scorer=args.scorer)
     if isinstance(res, witness_mod.TriangularWitness):
-        verified = witness_mod.verify_triangular_witness(res, A, model)
-        report = build_report("triangular", params,
-                              {"status": "found", "m": args.m}, res, verified, t0)
-        emit(report, args)
-        return 0
-    report = build_report("triangular", params,
-                          {"status": "not_found", "exhaustive": res.exhaustive},
-                          None, None, t0)
-    emit(report, args)
-    return 1
+        return ({"status": "found", "m": args.m}, res,
+                witness_mod.verify_triangular_witness(res, A, model))
+    return _not_found(res)
 
 
-def cmd_upgrade(args):
-    t0 = time.perf_counter()
-    model, A = load_instance(args)
-    b = tuple(int(x) for x in args.b.split(","))
-    c = tuple(int(x) for x in args.c.split(","))
-    tri = witness_mod.TriangularWitness(b, c)
+def cmd_upgrade(args, model, A):
+    tri = witness_mod.TriangularWitness(tuple(args.b), tuple(args.c))
     res = witness_mod.ramsey_upgrade(tri, A, model)
-    verified = witness_mod.verify_upgrade(res, A, model)
-    report = build_report("upgrade", common_params(args, b=list(b), c=list(c)),
-                          {"status": "computed", "tag": res.tag,
-                           "homogeneous_size": len(res.indices)},
-                          res, verified, t0)
-    emit(report, args)
-    return 0
+    return ({"status": "computed", "tag": res.tag,
+             "homogeneous_size": len(res.indices)},
+            res, witness_mod.verify_upgrade(res, A, model))
 
 
-def cmd_defwitness(args):
-    t0 = time.perf_counter()
-    model, A = load_instance(args)
+def cmd_defwitness(args, model, A):
     res = witness_mod.definable_witness_search(A, model, args.family, args.n,
                                                budget=args.budget,
                                                step_max=args.step_max)
-    params = common_params(args, family=args.family, n=args.n,
-                           step_max=args.step_max)
     if isinstance(res, witness_mod.DefinableWitness):
-        verified = witness_mod.verify_definable_witness(res, A, model)
-        report = build_report("defwitness", params,
-                              {"status": "found"}, res, verified, t0)
-        emit(report, args)
-        return 0
-    report = build_report("defwitness", params,
-                          {"status": "not_found", "exhaustive": res.exhaustive},
-                          None, None, t0)
-    emit(report, args)
-    return 1
+        return {"status": "found"}, res, witness_mod.verify_definable_witness(res, A, model)
+    return _not_found(res)
 
 
-def cmd_growth(args):
-    t0 = time.perf_counter()
-    model, A = load_instance(args)
+def cmd_growth(args, model, A):
     curve = witness_mod.growth_curve(A, model, args.k_max, mode=args.mode,
                                      budget=args.budget)
     rows = [("k", "found", "exhaustive")]
     rows += [(p.k, int(p.found), int(p.exhaustive)) for p in curve]
-    report = build_report("growth",
-                          common_params(args, k_max=args.k_max, mode=args.mode),
-                          {"status": "computed", "curve": curve}, None, None, t0)
-    emit(report, args, rows=rows)
-    return 0
+    return {"status": "computed", "curve": curve}, None, None, rows
 
 
-def cmd_syndetic(args):
-    t0 = time.perf_counter()
-    model, A = load_instance(args)
-    core = parse_pair(args.core) if args.core else None
-    shifts = None
-    if args.shifts:
-        lo, hi = parse_pair(args.shifts)
-        shifts = range(lo, hi)
-    res = cover_mod.min_translate_cover(A, model, core=core, shifts=shifts,
+def cmd_syndetic(args, model, A):
+    shifts = range(*args.shifts) if args.shifts else None
+    res = cover_mod.min_translate_cover(A, model, core=args.core, shifts=shifts,
                                         t_max=args.t_max, mode=args.mode)
-    params = common_params(args, core=args.core, shifts=args.shifts,
-                           t_max=args.t_max, mode=args.mode)
     if isinstance(res, cover_mod.CoverCertificate):
-        verified = cover_mod.verify_cover(res, A, model)
-        report = build_report("syndetic", params,
-                              {"status": "covered", "t": res.t,
-                               "optimal": res.optimal},
-                              res, verified, t0)
-        emit(report, args)
-        return 0
-    report = build_report("syndetic", params,
-                          {"status": "infeasible",
-                           "lower_bound": res.lower_bound,
-                           "uncovered_element": res.uncovered_element},
-                          None, None, t0)
-    emit(report, args)
-    return 1
+        return ({"status": "covered", "t": res.t, "optimal": res.optimal},
+                res, cover_mod.verify_cover(res, A, model))
+    return ({"status": "infeasible", "lower_bound": res.lower_bound,
+             "uncovered_element": res.uncovered_element}, None, None)
 
 
 # --- argument parsing ----------------------------------------------------------
-
-
-def add_common(p, needs_set=True):
-    p.add_argument("--model", required=True, help="zwindow:M:L | zmod:n | cayley:<path>")
-    if needs_set:
-        p.add_argument("--set", required=True, help="set expression in the DSL")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--budget", type=int, default=None, help="search node limit")
-    p.add_argument("--out", choices=["json", "csv"], default="json")
-    p.add_argument("--output", default=None, help="write the report to a file")
 
 
 def make_parser():
@@ -342,72 +215,101 @@ def make_parser():
         description="search and certification for sumset/productset structure",
     )
     sub = ap.add_subparsers(dest="command", required=True)
+    instance = argparse.ArgumentParser(add_help=False)
+    instance.add_argument("--model", required=True, help="zwindow:M:L | zmod:n | cayley:<path>")
+    instance.add_argument("--set", required=True, help="set expression in the DSL")
+    instance.add_argument("--output", default=None, help="write to a file, not stdout")
 
-    p = sub.add_parser("gen", help="materialize a set expression to a set file")
-    add_common(p)
+    def command(name, func, help, budget=False, csv_rows=False):
+        # no prefixes: `--out` must not pass for `--output` where it is absent
+        p = sub.add_parser(name, parents=[instance], help=help, allow_abbrev=False)
+        p.set_defaults(func=func)
+        if budget:
+            p.add_argument("--budget", type=int, default=None, help="search node limit")
+        if csv_rows:
+            p.add_argument("--out", choices=["json", "csv"], default="json")
+        return p
+
+    p = command("gen", cmd_gen, "materialize a set expression to a set file")
     p.add_argument("--format", choices=["list", "rle"], default="list")
-    p.set_defaults(func=cmd_gen)
 
-    p = sub.add_parser("density", help="best window density (exact rational)")
-    add_common(p)
+    p = command("density", cmd_density, "best window density (exact rational)",
+                csv_rows=True)
     p.add_argument("--n", type=int, default=None)
-    p.add_argument("--schedule", default=None, help="comma-separated window lengths")
-    p.set_defaults(func=cmd_density)
+    p.add_argument("--schedule", type=_int_list, default=None,
+                   help="comma-separated window lengths")
 
-    p = sub.add_parser("find-point", help="regular point or partition certificate")
-    add_common(p)
-    p.add_argument("--interval", default=None, help="a,b (default: whole carrier)")
-    p.add_argument("--alpha", type=parse_fraction, required=True)
+    p = command("find-point", cmd_find_point, "regular point or partition certificate")
+    p.add_argument("--interval", type=parse_pair, default=None,
+                   help="a,b (default: whole carrier)")
+    p.add_argument("--alpha", type=Fraction, required=True)
     p.add_argument("--N", type=int, required=True)
-    p.set_defaults(func=cmd_find_point)
 
-    p = sub.add_parser("ladder", help="longest order-property ladder")
-    add_common(p)
+    p = command("ladder", cmd_ladder, "longest order-property ladder", budget=True)
     p.add_argument("--k-max", type=int, default=8)
-    p.set_defaults(func=cmd_ladder)
 
-    p = sub.add_parser("witness", help="square witness search")
-    add_common(p)
+    p = command("witness", cmd_witness, "square witness search", budget=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--mode", choices=["exact", "heuristic"], default="exact")
-    p.set_defaults(func=cmd_witness)
 
-    p = sub.add_parser("triangular", help="one-sided (triangular) witness search")
-    add_common(p)
+    p = command("triangular", cmd_triangular, "one-sided (triangular) witness search",
+                budget=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--scorer",
                    choices=["exact", "pool_size", "density_weighted", "random"],
                    default="exact")
-    p.set_defaults(func=cmd_triangular)
+    p.add_argument("--seed", type=int, default=0, help="drives the random scorer")
 
-    p = sub.add_parser("upgrade", help="triangular-to-square Ramsey upgrade")
-    add_common(p)
-    p.add_argument("--b", required=True, help="comma-separated b sequence")
-    p.add_argument("--c", required=True, help="comma-separated c sequence")
-    p.set_defaults(func=cmd_upgrade)
+    p = command("upgrade", cmd_upgrade, "triangular-to-square Ramsey upgrade")
+    p.add_argument("--b", type=_int_list, required=True, help="comma-separated b sequence")
+    p.add_argument("--c", type=_int_list, required=True, help="comma-separated c sequence")
 
-    p = sub.add_parser("defwitness", help="family-restricted witness search")
-    add_common(p)
+    p = command("defwitness", cmd_defwitness, "family-restricted witness search",
+                budget=True)
     p.add_argument("--family", choices=["intervals", "aps"], required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--step-max", type=int, default=None)
-    p.set_defaults(func=cmd_defwitness)
 
-    p = sub.add_parser("growth", help="witness growth curve over k")
-    add_common(p)
+    p = command("growth", cmd_growth, "witness growth curve over k", budget=True,
+                csv_rows=True)
     p.add_argument("--k-max", type=int, required=True)
     p.add_argument("--mode", choices=["exact", "heuristic"], default="exact")
-    p.set_defaults(func=cmd_growth)
 
-    p = sub.add_parser("syndetic", help="minimal translate cover")
-    add_common(p)
-    p.add_argument("--core", default=None, help="a,b core region (ZWindow)")
-    p.add_argument("--shifts", default=None, help="a,b shift range (ZWindow)")
+    p = command("syndetic", cmd_syndetic, "minimal translate cover")
+    p.add_argument("--core", type=parse_pair, default=None, help="a,b core region (ZWindow)")
+    p.add_argument("--shifts", type=parse_pair, default=None,
+                   help="a,b shift range (ZWindow)")
     p.add_argument("--t-max", type=int, default=16)
     p.add_argument("--mode", choices=["exact", "greedy"], default="exact")
-    p.set_defaults(func=cmd_syndetic)
 
     return ap
+
+
+# --- the runner ------------------------------------------------------------------
+
+_NEGATIVE = {"not_found", "infeasible", "partition"}
+_NOT_PARAMETERS = {"command", "func", "out", "output"}
+
+
+def _run(args):
+    """Load the instance, run the subcommand, write its report; the exit code."""
+    t0 = time.perf_counter()
+    model = parse_model_arg(args.model)
+    A = generate_set(model, parse_set_spec(args.set))
+    got = args.func(args, model, A)
+    if got is None:  # gen wrote its set file
+        return 0
+    result, certificate, verified, *rows = got
+    params = {k: v for k, v in vars(args).items() if k not in _NOT_PARAMETERS}
+    report = build_report(args.command, params, result, certificate, verified, t0)
+    if rows and args.out == "csv":
+        buf = io.StringIO()
+        csv.writer(buf).writerows(rows[0])
+        text = buf.getvalue()
+    else:
+        text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+    _write(args.output, text)
+    return 1 if result["status"] in _NEGATIVE else 0
 
 
 def _report_error(exc):
@@ -418,21 +320,16 @@ def _report_error(exc):
     return 2
 
 
-def run(argv=None):
-    ap = make_parser()
-    args = ap.parse_args(argv)
+def main(argv=None):
+    args = make_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return _run(args)
     except (SumcoreError, ValueError, OSError) as exc:
         return _report_error(exc)
     except Exception as exc:
         # an internal fault (e.g. RecursionError) is an error, never exit 1
         traceback.print_exc(file=sys.stderr)
         return _report_error(exc)
-
-
-def main(argv=None):
-    return run(argv)
 
 
 if __name__ == "__main__":

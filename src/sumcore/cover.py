@@ -16,6 +16,7 @@ way the certificate records, for every core element, which translate
 covers it, so covers re-verify element by element.
 """
 
+import operator
 from dataclasses import dataclass
 
 from .errors import BadCore, ModelMismatch
@@ -84,6 +85,8 @@ def min_translate_cover(A: DenseSet, model, core=None, shifts=None,
     lower bound ceil(|core| / max_g |gA ∩ core|) and, if some core
     element lies in no translate, that element as a failure witness.
     """
+    if t_max < 0:
+        raise ValueError(f"t_max must be >= 0, got {t_max}")
     core, core_bits, order, sets = _cover_problem(A, model, core, shifts)
     counting_lb = _bound(sets, core_bits)
     union = 0
@@ -196,22 +199,27 @@ def _certificate(chosen, sets, core, optimal, method):
 
 
 def verify_cover(cert: CoverCertificate, A: DenseSet, model) -> bool:
-    """Element-by-element recheck of a cover certificate."""
+    """Element-by-element recheck of a cover certificate.
+
+    False, never an exception, on a malformed certificate: a non-integer
+    core bound, translate or index, or a translate outside a Cayley group.
+    """
     if A.model != model:
         raise ModelMismatch("set and model disagree")
-    lo, hi = cert.core
-    if not (0 <= lo < hi <= model.carrier_size):
+    try:
+        lo, hi = map(operator.index, cert.core)
+        shifts = [operator.index(g) for g in cert.translates]
+        witness = [operator.index(i) for i in cert.witness_index]
+    except (TypeError, ValueError):
         return False
-    if len(cert.witness_index) != hi - lo:
+    if not (0 <= lo < hi <= model.carrier_size) or len(witness) != hi - lo:
         return False
-    tsets = [translate(A, g).bits for g in cert.translates]
-    for offset, idx in enumerate(cert.witness_index):
-        e = lo + offset
-        if not (0 <= idx < len(tsets)):
-            return False
-        if not (tsets[idx] >> e) & 1:
-            return False
-    return True
+    if isinstance(model, CayleyGroup) and not all(0 <= g < model.order for g in shifts):
+        return False
+    if not all(0 <= i < len(shifts) for i in witness):
+        return False
+    tsets = [translate(A, g).bits for g in shifts]
+    return all((tsets[i] >> e) & 1 for e, i in zip(range(lo, hi), witness))
 
 
 def counting_lower_bound(A: DenseSet, model, core, shifts=None) -> int:

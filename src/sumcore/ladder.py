@@ -44,11 +44,16 @@ class LadderResult:
 
 
 class _Budget:
-    """Node budget of an exact search; ``spent`` counts the nodes granted."""
+    """Node budget of an exact search; ``spent`` counts the nodes granted.
+
+    A limit of 0 is exhausted at once; a negative limit is malformed input.
+    """
 
     __slots__ = ("left", "exhausted", "spent")
 
     def __init__(self, limit):
+        if limit is not None and limit < 0:
+            raise ValueError(f"budget must be >= 0, got {limit}")
         self.left = limit  # None = unlimited
         self.exhausted = False
         self.spent = 0

@@ -18,6 +18,7 @@ Searches and verifiers read b*c in A through one ``Relation``; only the
 definable search, which runs on ZWindows alone, inlines its shifts.
 """
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -137,6 +138,7 @@ def find_square_witness(A: DenseSet, model, k: int, mode="exact", budget=None):
     """
     if k < 1:
         raise ValueError("k must be >= 1")
+    bud = _Budget(budget)  # checked in every mode, spent by the exact one
     if mode == "heuristic":
         res = greedy_back_and_forth(A, model, k)
         if isinstance(res, SquareWitness):
@@ -149,7 +151,6 @@ def find_square_witness(A: DenseSet, model, k: int, mode="exact", budget=None):
     domain = rel.domain
     if domain.bit_count() < k:
         return NotFound(exhaustive=True)
-    bud = _Budget(budget)
 
     def extend(chosen, pool, min_next):
         """DFS over increasing b's; pool = surviving C candidates."""
@@ -203,13 +204,13 @@ def find_triangular_witness(A: DenseSet, model, m: int, scorer=None, budget=None
     """
     if m < 1:
         raise ValueError("m must be >= 1")
+    bud = _Budget(budget)  # checked with a scorer too, spent by the exact search
     if scorer is not None:
         res = greedy_back_and_forth(A, model, m, scorer=scorer, seed=seed)
         if isinstance(res, SquareWitness):
             return TriangularWitness(res.b, res.c)
         return NotFound(exhaustive=False)
 
-    bud = _Budget(budget)
     rel = Relation(A)
     domain = rel.domain
 
@@ -475,10 +476,14 @@ def verify_definable_witness(w: DefinableWitness, A: DenseSet, model) -> bool:
         return False
     rel = Relation(A)
     for t in (t1, t2):
-        # operands lie in [0, L); intervals are progressions of step 1
-        if t.length < 1 or t.step < 1 or (w.family == "intervals" and t.step != 1):
+        try:
+            start, step, length = map(operator.index, (t.start, t.step, t.length))
+        except TypeError:
             return False
-        if t.start < 0 or t.start + (t.length - 1) * t.step >= rel.bound:
+        # operands lie in [0, L); intervals are progressions of step 1
+        if length < 1 or step < 1 or (w.family == "intervals" and step != 1):
+            return False
+        if start < 0 or start + (length - 1) * step >= rel.bound:
             return False
     ops = rel.operands(t1.elements(), t2.elements())
     return ops is not None and bool(rel.grid(*ops).all())

@@ -59,9 +59,14 @@ def brute_cover(cert, A, model):
     """Verdict on a CoverCertificate: every core element e lies in g*A for
     the translate g its witness index names, i.e. e = g*a for a member a."""
     lo, hi = cert.core
+    if not all(isinstance(x, int) for x in (lo, hi, *cert.translates, *cert.witness_index)):
+        return False
     if not (0 <= lo < hi <= model.carrier_size):
         return False
     if len(cert.witness_index) != hi - lo:
+        return False
+    # on a Cayley group every translate is a group element
+    if hasattr(model, "table") and not all(is_operand(model, g) for g in cert.translates):
         return False
     members = A.members()
     for e, idx in zip(range(lo, hi), cert.witness_index):

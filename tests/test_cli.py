@@ -192,6 +192,98 @@ class TestSubcommands:
         assert json.loads(out)["error"]["type"] == "BadBounds"
 
 
+# argv, its status, the exit code, and the subcommand's own options
+RUNNER_CASES = [
+    (("density", "--model", "zwindow:100:50", "--set", "multiples(2)", "--n", "10"),
+     "computed", 0, {"n", "schedule"}),
+    (("find-point", "--model", "zwindow:100:50", "--set", "threshold(1)",
+      "--alpha", "1/2", "--N", "8"), "good_point", 0, {"interval", "alpha", "N"}),
+    (("find-point", "--model", "zwindow:100:50", "--set", "multiples(10)",
+      "--alpha", "1/2", "--N", "5"), "partition", 1, {"interval", "alpha", "N"}),
+    (("ladder", "--model", "zwindow:256:128", "--set", "threshold(64)", "--k-max", "3"),
+     "computed", 0, {"k_max", "budget"}),
+    (("witness", "--model", "zwindow:1024:512", "--set", "multiples(3)", "--k", "4"),
+     "found", 0, {"k", "mode", "budget"}),
+    (("witness", "--model", "zwindow:4096:2048", "--set", "pow2", "--k", "2"),
+     "not_found", 1, {"k", "mode", "budget"}),
+    (("triangular", "--model", "zwindow:256:128", "--set", "threshold(64)", "--m", "3"),
+     "found", 0, {"m", "scorer", "seed", "budget"}),
+    (("triangular", "--model", "zwindow:64:32", "--set", "pow2", "--m", "3"),
+     "not_found", 1, {"m", "scorer", "seed", "budget"}),
+    (("upgrade", "--model", "zwindow:400:200", "--set", "multiples(2)",
+      "--b", "0,2,4,6", "--c", "8,10,12,14"), "computed", 0, {"b", "c"}),
+    (("defwitness", "--model", "zwindow:1024:512", "--set", "multiples(3)",
+      "--family", "aps", "--n", "10", "--step-max", "8"),
+     "found", 0, {"family", "n", "step_max", "budget"}),
+    (("growth", "--model", "zwindow:256:128", "--set", "multiples(2)", "--k-max", "3"),
+     "computed", 0, {"k_max", "mode", "budget"}),
+    (("syndetic", "--model", "zmod:6", "--set", "multiples(2)"),
+     "covered", 0, {"core", "shifts", "t_max", "mode"}),
+    (("syndetic", "--model", "zmod:64", "--set", "multiples(4)", "--t-max", "3"),
+     "infeasible", 1, {"core", "shifts", "t_max", "mode"}),
+]
+
+
+RUNNER_IDS = [f"{argv[0]}-{status}" for argv, status, _, _ in RUNNER_CASES]
+
+
+class TestRunner:
+    @pytest.mark.parametrize("case", RUNNER_CASES, ids=RUNNER_IDS)
+    def test_exit_code_follows_status(self, capsys, case):
+        argv, status, code, _ = case
+        got, out = run_cli(capsys, *argv)
+        assert json.loads(out)["result"]["status"] == status
+        assert got == code
+
+    @pytest.mark.parametrize("case", RUNNER_CASES, ids=RUNNER_IDS)
+    def test_parameters_are_the_subcommand_options(self, capsys, case):
+        argv, _, _, options = case
+        _, out = run_cli(capsys, *argv)
+        assert set(json.loads(out)["parameters"]) == {"model", "set"} | options
+
+    def test_parameters_echo_parsed_options(self, capsys):
+        _, out = run_cli(capsys, "syndetic", "--model", "zwindow:100:50",
+                         "--set", "multiples(2)", "--core", "10,20", "--shifts=-5,5")
+        assert json.loads(out)["parameters"]["core"] == [10, 20]
+        assert json.loads(out)["parameters"]["shifts"] == [-5, 5]
+        _, out = run_cli(capsys, "density", "--model", "zwindow:100:50",
+                         "--set", "multiples(2)", "--schedule", "2,10")
+        assert json.loads(out)["parameters"]["schedule"] == [2, 10]
+
+    @pytest.mark.parametrize("argv", [
+        ("syndetic", "--model", "zmod:6", "--set", "multiples(2)", "--budget", "1"),
+        ("gen", "--model", "zwindow:64:32", "--set", "pow2", "--seed", "1"),
+        ("density", "--model", "zwindow:100:50", "--set", "pow2", "--budget", "5"),
+        ("witness", "--model", "zwindow:1024:512", "--set", "multiples(3)", "--k", "4",
+         "--out", "csv"),
+        ("witness", "--model", "zwindow:1024:512", "--set", "multiples(3)", "--k", "4",
+         "--seed", "1"),
+        ("upgrade", "--model", "zwindow:400:200", "--set", "multiples(2)",
+         "--b", "0,2", "--c", "4,6", "--budget", "1"),
+        ("find-point", "--model", "zwindow:100:50", "--set", "pow2", "--alpha", "1/2",
+         "--N", "5", "--out", "csv"),
+        ("gen", "--model", "zwindow:64:32", "--set", "pow2", "--out", "csv"),
+    ], ids=lambda argv: f"{argv[0]}{argv[-2]}")
+    def test_ignored_option_is_rejected(self, capsys, argv):
+        # a usage error, as for any malformed argv; nothing is run
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("argv", [
+        ("witness", "--model", "zwindow:1024:512", "--set", "multiples(3)", "--k", "4",
+         "--budget", "-3"),
+        ("growth", "--model", "zwindow:256:128", "--set", "multiples(2)", "--k-max", "3",
+         "--budget", "-1"),
+        ("syndetic", "--model", "zmod:6", "--set", "multiples(2)", "--t-max", "-1"),
+    ], ids=lambda argv: f"{argv[0]}{argv[-2]}")
+    def test_negative_limit_is_an_error(self, capsys, argv):
+        code, out = run_cli(capsys, *argv)
+        assert code == 2
+        assert json.loads(out)["error"]["type"] == "ValueError"
+
+
 class TestReproducibility:
     CASES = [
         ("density", "--model", "zwindow:100:50", "--set", "multiples(2)",

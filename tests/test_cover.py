@@ -103,6 +103,14 @@ class TestMinTranslateCover:
         assert isinstance(res, Infeasible)
         assert res.lower_bound == 12
 
+    def test_negative_t_max_is_malformed(self):
+        m = zn(12)
+        A = generate_set(m, Multiples(2))
+        assert isinstance(min_translate_cover(A, m, t_max=0), Infeasible)
+        for mode in ("exact", "greedy"):
+            with pytest.raises(ValueError, match="t_max"):
+                min_translate_cover(A, m, t_max=-1, mode=mode)
+
     def test_core_required_for_zwindow(self):
         m = zw(100, 50)
         A = generate_set(m, Multiples(2))

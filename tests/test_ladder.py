@@ -60,6 +60,13 @@ class TestMaxLadder:
         assert res.lower_bound_only
         assert res.k <= 1
 
+    def test_negative_budget_is_malformed(self):
+        m = zw(300, 150)
+        A = generate_set(m, Multiples(3))
+        assert max_ladder(A, m, 2, budget=0).lower_bound_only
+        with pytest.raises(ValueError, match="budget"):
+            max_ladder(A, m, 2, budget=-1)
+
     def test_monotone_in_kmax(self):
         m = zw(256, 128)
         A = generate_set(m, Threshold(64))

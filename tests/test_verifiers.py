@@ -15,7 +15,6 @@ import pytest
 from sumcore import (
     DefinableWitness,
     DenseSet,
-    ElementOutOfRange,
     FamilyDescriptor,
     InvalidInput,
     LadderCertificate,
@@ -180,15 +179,17 @@ def test_cover_mutations(kind, k):
     for pos in range(len(T)):
         for d in (-1, 1):
             variants.append(replace(cert, translates=T[:pos] + (T[pos] + d,) + T[pos + 1:]))
-    for new in (W[mid] - 1, W[mid] + 1, len(T)):
+    for new in (W[mid] - 1, W[mid] + 1, len(T), float(W[mid])):
         variants.append(replace(cert, witness_index=W[:mid] + (new,) + W[mid + 1:]))
+    variants += [replace(cert, translates=(float(T[0]),) + T[1:]),
+                 replace(cert, translates=T[:-1] + (T[-1] + 0.5,)),
+                 replace(cert, core=(float(lo), hi))]
     assert verify_cover(cert, A, model)
     for c in variants:
+        verdict = verify_cover(c, A, model)
+        assert verdict == brute_cover(c, A, model), c
         if kind == "zmod" and outside_carrier(model, c.translates):
-            with pytest.raises(ElementOutOfRange):
-                verify_cover(c, A, model)
-        else:
-            assert verify_cover(c, A, model) == brute_cover(c, A, model), c
+            assert verdict is False, c
 
 
 @pytest.mark.parametrize("bad", [-1, 2.0, 2.5])
@@ -209,3 +210,10 @@ def test_negative_or_float_operand_is_rejected(bad):
         w = DefinableWitness("intervals", FamilyDescriptor(bad, 1, 2),
                              FamilyDescriptor(0, 1, 2))
         assert not verify_definable_witness(w, A, model)
+    # a negative or non-integer start, step or length describes no progression
+    good = DefinableWitness("aps", FamilyDescriptor(0, 1, 2), FamilyDescriptor(3, 1, 2))
+    assert verify_definable_witness(good, A, model)
+    for field in ("start", "step", "length"):
+        for side in ("theta1", "theta2"):
+            bent = replace(good, **{side: replace(getattr(good, side), **{field: bad})})
+            assert verify_definable_witness(bent, A, model) is False, bent

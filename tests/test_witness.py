@@ -73,6 +73,25 @@ class TestSquareWitness:
         res = find_square_witness(A, m, 2, budget=5)
         assert res == NotFound(exhaustive=False)
 
+    def test_negative_budget_is_malformed(self):
+        # a budget of 0 is exhausted at once; a negative one is an error in
+        # every mode and search, never a non-exhaustive NotFound
+        m = zw(1 << 12, 1 << 11)
+        A = generate_set(m, PowersOf2())
+        assert find_square_witness(A, m, 2, budget=0) == NotFound(exhaustive=False)
+        searches = [
+            lambda: find_square_witness(A, m, 2, budget=-1),
+            lambda: find_square_witness(A, m, 2, mode="heuristic", budget=-1),
+            lambda: find_square_witness(A, m, 1 << 12, budget=-1),
+            lambda: find_triangular_witness(A, m, 3, budget=-1),
+            lambda: find_triangular_witness(A, m, 3, scorer="pool_size", budget=-1),
+            lambda: definable_witness_search(A, m, "aps", 3, budget=-1),
+            lambda: growth_curve(A, m, 2, budget=-1),
+        ]
+        for search in searches:
+            with pytest.raises(ValueError, match="budget"):
+                search()
+
     def test_heuristic_mode(self):
         m = zw(100, 50)
         A = generate_set(m, Multiples(2))

@@ -327,7 +327,7 @@ def main(argv=None):
     except (SumcoreError, ValueError, OSError) as exc:
         return _report_error(exc)
     except Exception as exc:
-        # an internal fault (e.g. RecursionError) is an error, never exit 1
+        # an internal fault (a bug, not bad input) is an error, never exit 1
         traceback.print_exc(file=sys.stderr)
         return _report_error(exc)
 

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 from .errors import BadCore, ModelMismatch
 from .model import CayleyGroup, DenseSet, ZWindow, iter_bits, translate
+from .search import preorder
 
 
 @dataclass(frozen=True)
@@ -142,25 +143,25 @@ def _exists_cover(sets, covers, core_bits, covered, size_limit):
     element with the fewest covering translates; ``covers`` maps each
     core element to those translates.
     """
-    if covered == core_bits:
-        return True
-    if size_limit == 0:
-        return False
-    uncovered = core_bits & ~covered
-    if _bound(sets, uncovered) > size_limit:
-        return False
-    options = None
-    for e in iter_bits(uncovered):
-        opts = covers[e]
-        if options is None or len(opts) < len(options):
-            options = opts
-            if len(opts) <= 1:
-                break
-    for g in options:
-        if _exists_cover(sets, covers, core_bits, covered | sets[g],
-                         size_limit - 1):
-            return True
-    return False
+    def children(node):
+        covered, size_limit = node
+        if size_limit == 0:
+            return
+        uncovered = core_bits & ~covered
+        if _bound(sets, uncovered) > size_limit:
+            return
+        options = None
+        for e in iter_bits(uncovered):
+            opts = covers[e]
+            if options is None or len(opts) < len(options):
+                options = opts
+                if len(opts) <= 1:
+                    break
+        for g in options:
+            yield covered | sets[g], size_limit - 1
+
+    root = (covered, size_limit)
+    return any(node[0] == core_bits for node in preorder(root, children))
 
 
 def _lex_min_cover(order, sets, covers, core_bits, t_star):

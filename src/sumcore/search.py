@@ -1,0 +1,55 @@
+"""The depth-first walk and the node budget shared by every exact search.
+
+An exact search is a tree given by ``children(node)``, a generator of the
+child nodes in the order they are tried; the search itself is a loop
+over ``preorder`` that stops at the first goal node, or keeps the best
+node seen.  Under a node budget, a generator spends one node per
+candidate it tries and returns once ``spend()`` fails, so when the
+budget runs out every suspended generator returns at its next try and
+the walk ends.
+"""
+
+
+class Budget:
+    """Node budget of an exact search; ``spent`` counts the nodes granted.
+
+    A limit of 0 is exhausted at once; a negative limit is malformed input.
+    """
+
+    __slots__ = ("left", "exhausted", "spent")
+
+    def __init__(self, limit):
+        if limit is not None and limit < 0:
+            raise ValueError(f"budget must be >= 0, got {limit}")
+        self.left = limit  # None = unlimited
+        self.exhausted = False
+        self.spent = 0
+
+    def spend(self):
+        if self.left is not None:
+            if self.left <= 0:
+                self.exhausted = True
+                return False
+            self.left -= 1
+        self.spent += 1
+        return True
+
+
+def preorder(root, children):
+    """Yield ``root`` and then every node below it, depth first, each node
+    before its children.
+
+    The stack holds one ``children(node)`` generator per open level, so
+    depth is bounded by memory, not by the recursion limit.  A node is
+    expanded only when the walk resumes after yielding it: a consumer
+    that stops at a node never runs its ``children``.
+    """
+    yield root
+    stack = [children(root)]
+    while stack:
+        for node in stack[-1]:
+            yield node
+            stack.append(children(node))
+            break
+        else:
+            stack.pop()

@@ -13,21 +13,27 @@ The central objects are
   element sets.
 
 Exact searches are canonical: the witness returned is lexicographically
-least (B extended before C), so outcomes are reproducible.
+least (B extended before C), so outcomes are reproducible.  The square
+and triangular searches each give the children of a node (a tuple of
+chosen operands with its candidate pools) to ``search.preorder``, the one
+depth-first walk, and take its first complete node; both spend the one
+node budget, ``search.Budget``.
 Searches and verifiers read b*c in A through one ``Relation``; only the
 definable search, which runs on ZWindows alone, inlines its shifts.
 """
 
 import operator
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
 from .errors import InvalidInput, ModelMismatch
-from .ladder import LadderCertificate, _Budget
+from .ladder import LadderCertificate
 from .model import DenseSet, Relation, ZWindow, iter_bits
 # bench/tracing.py wraps ``sumcore.witness.quotient`` by name
 from .model import quotient  # noqa: F401
+from .search import Budget, preorder
 from .setspec import splitmix_stream
 
 
@@ -111,15 +117,6 @@ def _pool_union(rel, pool):
     return cand
 
 
-def _smallest_k(bits, k):
-    out = []
-    for i in iter_bits(bits):
-        out.append(i)
-        if len(out) == k:
-            break
-    return tuple(out)
-
-
 # --- square witnesses ---------------------------------------------------------
 
 
@@ -138,7 +135,7 @@ def find_square_witness(A: DenseSet, model, k: int, mode="exact", budget=None):
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    bud = _Budget(budget)  # checked in every mode, spent by the exact one
+    bud = Budget(budget)  # checked in every mode, spent by the exact one
     if mode == "heuristic":
         res = greedy_back_and_forth(A, model, k)
         if isinstance(res, SquareWitness):
@@ -152,29 +149,24 @@ def find_square_witness(A: DenseSet, model, k: int, mode="exact", budget=None):
     if domain.bit_count() < k:
         return NotFound(exhaustive=True)
 
-    def extend(chosen, pool, min_next):
-        """DFS over increasing b's; pool = surviving C candidates."""
-        if len(chosen) == k:
-            return SquareWitness(tuple(chosen), _smallest_k(pool, k))
-        cand = (domain >> min_next) << min_next
-        if chosen and pool.bit_count() <= _POOL_UNION_LIMIT:
-            cand &= _pool_union(rel, pool)
+    def children(node):
+        """Increasing b's after the last chosen; pool = surviving C candidates."""
+        bs, pool = node
+        cand = domain
+        if bs:
+            cand = (cand >> (bs[-1] + 1)) << (bs[-1] + 1)
+            if pool.bit_count() <= _POOL_UNION_LIMIT:
+                cand &= _pool_union(rel, pool)
         for b in iter_bits(cand):
             if not bud.spend():
-                return None
+                return
             np_ = pool & rel.left(b)
-            if np_.bit_count() < k:
-                continue
-            chosen.append(b)
-            got = extend(chosen, np_, b + 1)
-            chosen.pop()
-            if got is not None or bud.exhausted:
-                return got
-        return None
+            if np_.bit_count() >= k:
+                yield bs + (b,), np_
 
-    got = extend([], domain, 0)
-    if got is not None:
-        return got
+    for bs, pool in preorder(((), domain), children):
+        if len(bs) == k:
+            return SquareWitness(bs, tuple(islice(iter_bits(pool), k)))
     return NotFound(exhaustive=not bud.exhausted)
 
 
@@ -204,7 +196,7 @@ def find_triangular_witness(A: DenseSet, model, m: int, scorer=None, budget=None
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    bud = _Budget(budget)  # checked with a scorer too, spent by the exact search
+    bud = Budget(budget)  # checked with a scorer too, spent by the exact search
     if scorer is not None:
         res = greedy_back_and_forth(A, model, m, scorer=scorer, seed=seed)
         if isinstance(res, SquareWitness):
@@ -214,54 +206,34 @@ def find_triangular_witness(A: DenseSet, model, m: int, scorer=None, budget=None
     rel = Relation(A)
     domain = rel.domain
 
-    def pick_cs(pools, used, acc):
-        j = len(acc)
-        if j == m:
-            return tuple(acc)
+    def children(node):
+        """All m b's first, then the c's; used_b, used_c = chosen masks."""
+        bs, pools, used_b, cs, used_c = node
+        i, j = len(bs), len(cs)
+        if i < m:
+            prev = pools[-1] if pools else domain
+            cand = domain & ~used_b
+            if i > 0 and prev.bit_count() <= _POOL_UNION_LIMIT:
+                cand &= _pool_union(rel, prev)
+            for b in iter_bits(cand):
+                if not bud.spend():
+                    return
+                np_ = prev & rel.left(b)
+                if np_.bit_count() >= m - i:
+                    yield bs + (b,), pools + (np_,), used_b | (1 << b), cs, used_c
+            return
         # Hall feasibility over the remaining nested pools
         for t in range(j, m):
-            if (pools[t] & ~used).bit_count() < m - t:
-                return None
-        for c in iter_bits(pools[j] & ~used):
+            if (pools[t] & ~used_c).bit_count() < m - t:
+                return
+        for c in iter_bits(pools[j] & ~used_c):
             if not bud.spend():
-                return None
-            acc.append(c)
-            got = pick_cs(pools, used | (1 << c), acc)
-            acc.pop()
-            if got is not None or bud.exhausted:
-                return got
-        return None
+                return
+            yield bs, pools, used_b, cs + (c,), used_c | (1 << c)
 
-    def extend(bs, pools, used_b):
-        i = len(bs)
-        if i == m:
-            got = pick_cs(pools, 0, [])
-            if got is None:
-                return None
-            return TriangularWitness(tuple(bs), got)
-        prev = pools[-1] if pools else domain
-        if i > 0 and prev.bit_count() <= _POOL_UNION_LIMIT:
-            cand = _pool_union(rel, prev) & domain & ~used_b
-        else:
-            cand = domain & ~used_b
-        for b in iter_bits(cand):
-            if not bud.spend():
-                return None
-            np_ = prev & rel.left(b)
-            if np_.bit_count() < m - i:
-                continue
-            bs.append(b)
-            pools.append(np_)
-            got = extend(bs, pools, used_b | (1 << b))
-            bs.pop()
-            pools.pop()
-            if got is not None or bud.exhausted:
-                return got
-        return None
-
-    got = extend([], [], 0)
-    if got is not None:
-        return got
+    for bs, _, _, cs, _ in preorder(((), (), 0, (), 0), children):
+        if len(cs) == m:
+            return TriangularWitness(bs, cs)
     return NotFound(exhaustive=not bud.exhausted)
 
 
@@ -427,7 +399,7 @@ def definable_witness_search(A: DenseSet, model, family, n: int,
     else:
         raise ValueError(f"unknown family {family!r}")
 
-    bud = _Budget(budget)
+    bud = Budget(budget)
     rel = Relation(A)
     L, domain = rel.bound, rel.domain
 

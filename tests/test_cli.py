@@ -3,6 +3,7 @@ import re
 
 import pytest
 
+from sumcore import witness as witness_mod
 from sumcore.cli import main, parse_model_arg
 from sumcore.model import ZWindow, CayleyGroup, read_set_file
 
@@ -167,15 +168,39 @@ class TestSubcommands:
         assert out == out_path.read_text()
         assert read_set_file(out_path)[0] == [1, 2, 4, 8, 16, 32, 60, 61, 62, 63]
 
-    def test_internal_error_exits_2(self, capsys):
-        # the exact square search recurses once per row: k = 1500 exceeds
-        # the interpreter's recursion limit, an error and not a negative
+    def test_deep_witness_found(self, capsys):
+        # k = 1500 tree levels: deeper than the interpreter's recursion limit
         code, out = run_cli(capsys, "witness", "--model", "zwindow:4096:2048",
                             "--set", "threshold(0)", "--k", "1500")
-        assert code == 2
+        assert code == 0
         rep = json.loads(out)
-        assert rep["kind"] == "error"
-        assert rep["error"]["type"] == "RecursionError"
+        assert rep["result"] == {"status": "found", "k": 1500}
+        assert rep["verified"] is True
+
+    def test_internal_error_exits_2(self, capsys, monkeypatch):
+        # a fault inside the library is an error, never a definite negative
+        def fault(*args, **kwargs):
+            raise RuntimeError("internal fault")
+
+        monkeypatch.setattr(witness_mod, "find_square_witness", fault)
+        code = main(["witness", "--model", "zwindow:100:50", "--set", "pow2",
+                     "--k", "2"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert json.loads(captured.out) == {
+            "kind": "error",
+            "error": {"type": "RuntimeError", "message": "internal fault"}}
+        assert "Traceback" in captured.err
+
+    def test_negative_shift_range(self, capsys):
+        # "--shifts -5,5" would read -5,5 as an option flag
+        code, out = run_cli(capsys, "syndetic", "--model", "zwindow:100:50",
+                            "--set", "threshold(0)", "--core", "10,20",
+                            "--shifts=-5,5")
+        assert code == 0
+        rep = json.loads(out)
+        assert rep["parameters"]["shifts"] == [-5, 5]
+        assert rep["result"]["status"] == "covered"
 
     def test_error_exit_code(self, capsys):
         code, out = run_cli(capsys, "density", "--model", "zwindow:100:50",

@@ -53,6 +53,14 @@ class TestMaxLadder:
         assert res.certificate == LadderCertificate(
             (127, 63, 62, 61, 60, 59, 58, 57), (0, 1, 2, 3, 4, 5, 6, 7))
 
+    def test_deep_ladder_answers(self):
+        # one tree level per (b, c) pair: 1500 levels
+        m = zw(4096, 2048)
+        A = generate_set(m, Threshold(2048))
+        res = max_ladder(A, m, 1500)
+        assert (res.k, res.lower_bound_only) == (1500, False)
+        assert verify_ladder(res.certificate, A, m)
+
     def test_budget_exhaustion_flagged(self):
         m = zw(300, 150)
         A = generate_set(m, Multiples(3))
@@ -150,11 +158,12 @@ class TestVerifyLadder:
         A = DenseSet.from_members(m, range(100))
         assert not verify_ladder(LadderCertificate((1, 1), (2, 3)), A, m)
 
-    def test_out_of_carrier_raises(self):
+    def test_out_of_carrier_is_false(self):
         m = zw(100, 50)
         A = DenseSet.from_members(m, [10])
-        with pytest.raises(ModelMismatch):
-            verify_ladder(LadderCertificate((120,), (0,)), A, m)
+        assert verify_ladder(LadderCertificate((120,), (0,)), A, m) is False
+        with pytest.raises(ModelMismatch):  # the set lives over another model
+            verify_ladder(LadderCertificate((1,), (0,)), A, zw(200, 50))
 
     def test_length_mismatch(self):
         m = zw(100, 50)

@@ -67,6 +67,15 @@ class TestSquareWitness:
         # beyond the trivial {a,d} = {b,c}, so no 2x2 sum square fits
         assert power_quadruple_solutions(17) == []
 
+    def test_deep_witness_answers(self):
+        # one tree level per chosen b: k = 1500 is deeper than the
+        # interpreter's recursion limit
+        m = zw(4096, 2048)
+        A = generate_set(m, Threshold(0))
+        w = find_square_witness(A, m, 1500)
+        assert w == SquareWitness(tuple(range(1500)), tuple(range(1500)))
+        assert verify_square_witness(w, A, m)
+
     def test_budget_gives_nonexhaustive(self):
         m = zw(1 << 12, 1 << 11)
         A = generate_set(m, PowersOf2())
@@ -174,6 +183,14 @@ class TestTriangularWitness:
         A = generate_set(m, Multiples(2))
         w = find_triangular_witness(A, m, 3, scorer="pool_size")
         assert isinstance(w, TriangularWitness)
+        assert verify_triangular_witness(w, A, m)
+
+    def test_deep_witness_answers(self):
+        # one tree level per b and per c: 2 * 1500 levels
+        m = zw(4096, 2048)
+        A = generate_set(m, Threshold(0))
+        w = find_triangular_witness(A, m, 1500)
+        assert w == TriangularWitness(tuple(range(1500)), tuple(range(1500)))
         assert verify_triangular_witness(w, A, m)
 
     def test_large_witness_vectorized_verify(self):

@@ -24,8 +24,9 @@ with all arithmetic mod 2^64 and ``splitmix64`` the standard finalizer
 0x94D049BB133111EB).
 """
 
+import re
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 
 import numpy as np
@@ -208,39 +209,65 @@ def generate_set(model, spec) -> DenseSet:
 
 # --- DSL ----------------------------------------------------------------------
 
+# The DSL's syntax, read by both parse_set_spec and spec_to_text: each
+# generator's node class and the kinds of its arguments, in field order.
+#   int, rational, path, spec   one argument of that kind
+#   ratio                       p/q as written, into two fields (num, den)
+#   int?                        an optional ',' and integer, left out when 0
+#   int*                        integers separated by ',', possibly none
+# A generator with no argument kinds (pow2) takes no argument list.
+GRAMMAR = {
+    "multiples": (Multiples, "int", "int?"),
+    "pow2": (PowersOf2,),
+    "bernoulli": (Bernoulli, "rational", "int"),
+    "bohr": (BohrSet, "ratio", "rational"),
+    "threshold": (Threshold, "int"),
+    "explicit": (Explicit, "int*"),
+    "file": (FileSet, "path"),
+    "union": (Union, "spec", "spec"),
+    "intersect": (Intersect, "spec", "spec"),
+    "translate": (Translate, "spec", "int"),
+    "complement": (Complement, "spec"),
+}
+_NAMES = {cls: name for name, (cls, *_) in GRAMMAR.items()}
+
+_WS = re.compile(r"\s*")
+_NAME = re.compile(r"\w+")
+_INT = re.compile(r"[+-]?\d+")
+_DIGITS = re.compile(r"\d+")
+_BARE_PATH = re.compile(r"""[^\s(),"']+""")
+_QUOTED_PATH = re.compile(r"""(["'])(.*?)\1""", re.DOTALL)
+
 
 def spec_to_text(spec) -> str:
     """Render a SetSpec in the DSL; parse_set_spec inverts this exactly."""
-    if isinstance(spec, Multiples):
-        if spec.offset:
-            return f"multiples({spec.q},{spec.offset})"
-        return f"multiples({spec.q})"
-    if isinstance(spec, PowersOf2):
-        return "pow2"
-    if isinstance(spec, Bernoulli):
-        return f"bernoulli({_frac_text(spec.delta)},{spec.seed})"
-    if isinstance(spec, BohrSet):
-        return f"bohr({spec.num}/{spec.den},{_frac_text(spec.eps)})"
-    if isinstance(spec, Threshold):
-        return f"threshold({spec.t})"
-    if isinstance(spec, Explicit):
-        return "explicit(" + ",".join(str(m) for m in spec.members) + ")"
-    if isinstance(spec, FileSet):
-        return f"file({_path_text(spec.path)})"
-    if isinstance(spec, Union):
-        return f"union({spec_to_text(spec.left)},{spec_to_text(spec.right)})"
-    if isinstance(spec, Intersect):
-        return f"intersect({spec_to_text(spec.left)},{spec_to_text(spec.right)})"
-    if isinstance(spec, Translate):
-        return f"translate({spec_to_text(spec.child)},{spec.k})"
-    if isinstance(spec, Complement):
-        return f"complement({spec_to_text(spec.child)})"
-    raise SpecOutOfRange(f"unknown spec node {spec!r}")
+    name = _NAMES.get(type(spec))
+    if name is None:
+        raise SpecOutOfRange(f"unknown spec node {spec!r}")
+    _, *kinds = GRAMMAR[name]
+    if not kinds:
+        return name
+    values = iter([getattr(spec, f.name) for f in fields(spec)])
+    args = []
+    for kind, value in zip(kinds, values):
+        if kind == "spec":
+            args.append(spec_to_text(value))
+        elif kind == "path":
+            args.append(_path_text(value))
+        elif kind == "rational":
+            args.append(str(Fraction(value)))
+        elif kind == "ratio":
+            args.append(f"{value}/{next(values)}")
+        elif kind == "int*":
+            args += map(str, value)
+        elif value or kind == "int":
+            args.append(str(value))
+    return f"{name}({','.join(args)})"
 
 
 def _path_text(path: str) -> str:
     """The path bare, or quoted when the parser would stop inside it."""
-    if path and not any(c in "(),\"'" or c.isspace() for c in path):
+    if _BARE_PATH.fullmatch(path):
         return path
     for quote in "\"'":
         if quote not in path:
@@ -248,191 +275,118 @@ def _path_text(path: str) -> str:
     raise SpecOutOfRange(f"file path {path!r} holds both quote characters")
 
 
-def _frac_text(f: Fraction) -> str:
-    return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
-
-
 class _Parser:
     def __init__(self, text):
         self.text = text
         self.pos = 0
+        self.read = {"int": self.integer, "int*": self.integers, "path": self.path,
+                     "rational": self.rational, "ratio": self.ratio, "spec": self.expr}
 
-    def error(self, expected):
-        raise ParseError(self.text, self.pos, expected)
+    def error(self, expected, pos=None):
+        raise ParseError(self.text, self.pos if pos is None else pos, expected)
 
     def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
+        self.pos = _WS.match(self.text, self.pos).end()
+        return self.pos
+
+    def token(self, regex, expected):
+        """Step past the match of regex after any whitespace."""
+        m = regex.match(self.text, self.skip_ws())
+        if m is None:
+            self.error(expected)
+        self.pos = m.end()
+        return m
+
+    def take(self, ch):
+        """Step past ch if it comes next after any whitespace."""
+        found = self.text.startswith(ch, self.skip_ws())
+        self.pos += found
+        return found
 
     def expect(self, ch):
-        self.skip_ws()
-        if self.pos < len(self.text) and self.text[self.pos] == ch:
-            self.pos += 1
-            return
-        self.error([repr(ch)])
+        if not self.take(ch):
+            self.error([repr(ch)])
 
-    def name(self):
-        self.skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and (
-            self.text[self.pos].isalnum() or self.text[self.pos] == "_"
-        ):
-            self.pos += 1
-        if self.pos == start:
-            self.error(["generator name"])
-        return self.text[start:start + (self.pos - start)]
+    def literal(self, convert, start):
+        """convert() of the literal from start to here, which may be too long."""
+        try:
+            return convert(self.text[start:self.pos])
+        except ValueError:  # longer than the interpreter's int-string limit
+            self.error(["a literal within the interpreter's int-string limit"], start)
 
     def integer(self):
-        self.skip_ws()
-        start = self.pos
-        if self.pos < len(self.text) and self.text[self.pos] in "+-":
+        return self.literal(int, self.token(_INT, ["integer"]).start())
+
+    def integers(self):
+        if self.text.startswith(")", self.skip_ws()):
+            return ()
+        items = [self.integer()]
+        while self.take(","):
+            items.append(self.integer())
+        return tuple(items)
+
+    def ratio(self):
+        """An integer, p/q or decimal literal as (p, q); p/q is kept as written."""
+        start = self.skip_ws()
+        p = self.integer()
+        if self.text.startswith("/", self.pos):
             self.pos += 1
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+            q = self.integer()
+            if q == 0:
+                self.error(["nonzero denominator"], start)
+            return (-p, -q) if q < 0 else (p, q)
+        if self.text.startswith(".", self.pos):
             self.pos += 1
-        token = self.text[start:self.pos]
-        if not token or token in "+-":
-            self.pos = start
-            self.error(["integer"])
-        return int(token)
+            m = _DIGITS.match(self.text, self.pos)
+            if m is None:
+                self.error(["decimal digits"])
+            self.pos = m.end()
+            f = self.literal(Fraction, start)
+            return f.numerator, f.denominator
+        return p, 1
 
     def rational(self):
-        """Integer, p/q, or decimal literal -- parsed exactly as a Fraction."""
-        self.skip_ws()
-        start = self.pos
-        num = self.integer()
-        if self.pos < len(self.text) and self.text[self.pos] == "/":
-            self.pos += 1
-            den = self.integer()
-            if den == 0:
-                self.pos = start
-                self.error(["nonzero denominator"])
-            return Fraction(num, den)
-        if self.pos < len(self.text) and self.text[self.pos] == ".":
-            self.pos += 1
-            dstart = self.pos
-            while self.pos < len(self.text) and self.text[self.pos].isdigit():
-                self.pos += 1
-            digits = self.text[dstart:self.pos]
-            if not digits:
-                self.error(["decimal digits"])
-            frac = Fraction(int(digits), 10 ** len(digits))
-            # the sign is read from the text: "-0.5" has integer part 0
-            return Fraction(num) + (-frac if self.text[start] == "-" else frac)
-        return Fraction(num)
+        return Fraction(*self.ratio())
 
     def path(self):
-        self.skip_ws()
-        if self.pos < len(self.text) and self.text[self.pos] in "\"'":
-            quote = self.text[self.pos]
-            self.pos += 1
-            start = self.pos
-            while self.pos < len(self.text) and self.text[self.pos] != quote:
-                self.pos += 1
-            if self.pos >= len(self.text):
-                self.error(["closing quote"])
-            token = self.text[start:self.pos]
-            self.pos += 1
-            return token
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos] not in "(),\"'" and not self.text[self.pos].isspace():
-            self.pos += 1
-        if self.pos == start:
-            self.error(["file path"])
-        return self.text[start:self.pos]
+        """A bare path, or any text between single or double quotes."""
+        if not self.text.startswith(("'", '"'), self.skip_ws()):
+            return self.token(_BARE_PATH, ["file path"]).group()
+        m = _QUOTED_PATH.match(self.text, self.pos)
+        if m is None:
+            self.error(["closing quote"], len(self.text))
+        self.pos = m.end()
+        return m.group(2)
 
     def expr(self):
-        name = self.name()
-        if name == "pow2":
-            return PowersOf2()
-        if name == "multiples":
-            self.expect("(")
-            q = self.integer()
-            offset = 0
-            self.skip_ws()
-            if self.pos < len(self.text) and self.text[self.pos] == ",":
-                self.pos += 1
-                offset = self.integer()
-            self.expect(")")
-            return Multiples(q, offset)
-        if name == "bernoulli":
-            self.expect("(")
-            delta = self.rational()
-            self.skip_ws()
-            if self.pos >= len(self.text) or self.text[self.pos] != ",":
-                self.error(["',' (bernoulli requires an explicit seed)"])
-            self.pos += 1
-            seed = self.integer()
-            self.expect(")")
-            return Bernoulli(delta, seed)
-        if name == "bohr":
-            self.expect("(")
-            theta = self.rational()
-            self.expect(",")
-            eps = self.rational()
-            self.expect(")")
-            return BohrSet(theta.numerator, theta.denominator, eps)
-        if name == "threshold":
-            self.expect("(")
-            t = self.integer()
-            self.expect(")")
-            return Threshold(t)
-        if name == "explicit":
-            self.expect("(")
-            self.skip_ws()
-            if self.pos < len(self.text) and self.text[self.pos] == ")":
-                self.pos += 1
-                return Explicit(())
-            members = [self.integer()]
-            self.skip_ws()
-            while self.pos < len(self.text) and self.text[self.pos] == ",":
-                self.pos += 1
-                members.append(self.integer())
-                self.skip_ws()
-            self.expect(")")
-            return Explicit(tuple(members))
-        if name == "file":
-            self.expect("(")
-            p = self.path()
-            self.expect(")")
-            return FileSet(p)
-        if name == "union":
-            self.expect("(")
-            a = self.expr()
-            self.expect(",")
-            b = self.expr()
-            self.expect(")")
-            return Union(a, b)
-        if name == "intersect":
-            self.expect("(")
-            a = self.expr()
-            self.expect(",")
-            b = self.expr()
-            self.expect(")")
-            return Intersect(a, b)
-        if name == "translate":
-            self.expect("(")
-            a = self.expr()
-            self.expect(",")
-            k = self.integer()
-            self.expect(")")
-            return Translate(a, k)
-        if name == "complement":
-            self.expect("(")
-            a = self.expr()
-            self.expect(")")
-            return Complement(a)
-        self.pos -= len(name)
-        self.error([
-            "multiples", "pow2", "bernoulli", "bohr", "threshold",
-            "explicit", "file", "union", "intersect", "translate", "complement",
-        ])
+        m = self.token(_NAME, ["generator name"])
+        if m.group() not in GRAMMAR:
+            self.error(list(GRAMMAR), m.start())
+        cls, *kinds = GRAMMAR[m.group()]
+        if not kinds:
+            return cls()
+        self.expect("(")
+        args = []
+        for i, kind in enumerate(kinds):
+            if kind == "int?":
+                args += [self.integer()] if self.take(",") else []
+                continue
+            if i and not self.take(","):
+                field = fields(cls)[len(args)].name
+                self.error([f"',' ({m.group()} requires an explicit {field})"])
+            value = self.read[kind]()
+            args += value if kind == "ratio" else [value]
+        self.expect(")")
+        return cls(*args)
 
 
 def parse_set_spec(text: str):
-    """Parse the DSL into a SetSpec tree (whitespace-insensitive)."""
+    """Parse the DSL into a SetSpec tree; bad text raises ParseError."""
     p = _Parser(text)
-    tree = p.expr()
-    p.skip_ws()
-    if p.pos != len(text):
+    try:
+        tree = p.expr()
+    except RecursionError:  # nested deeper than the interpreter's recursion limit
+        raise ParseError(text, p.pos, ["nesting within the recursion limit"]) from None
+    if p.skip_ws() != len(text):
         p.error(["end of input"])
     return tree

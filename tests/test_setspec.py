@@ -257,6 +257,7 @@ class TestParse:
         a = parse_set_spec("intersect( multiples( 2 ) , threshold( 5 ) )")
         b = parse_set_spec("intersect(multiples(2),threshold(5))")
         assert a == b
+        assert parse_set_spec("bernoulli(1/ 3,7)") == Bernoulli(Fraction(1, 3), 7)
 
     def test_rationals_exact(self):
         tree = parse_set_spec("bohr(665857/470832,1/4)")
@@ -310,3 +311,56 @@ class TestParse:
     def test_parse_print_parse_identity(self, text):
         tree = parse_set_spec(text)
         assert parse_set_spec(spec_to_text(tree)) == tree
+
+    @given(carrier_and_spec("dir/a b.set"))
+    @settings(max_examples=300, deadline=None)
+    def test_print_parse_identity_on_generated_trees(self, case):
+        _, tree = case
+        assert parse_set_spec(spec_to_text(tree)) == tree
+
+    def test_bohr_keeps_ratio_as_written(self):
+        assert parse_set_spec("bohr(0/7,1/2)") == BohrSet(0, 7, Fraction(1, 2))
+        assert parse_set_spec("bohr(2/4, 1/8)") == BohrSet(2, 4, Fraction(1, 8))
+        # a negative denominator moves its sign to the numerator
+        tree = parse_set_spec("bohr(355/-113,1/8)")
+        assert tree == BohrSet(-355, 113, Fraction(1, 8))
+        m = zw(200, 100)
+        assert len(generate_set(m, tree)) > 0
+        # the set depends only on the value p/q
+        assert (generate_set(m, parse_set_spec("bohr(2/4,1/8)")).members()
+                == generate_set(m, BohrSet(1, 2, Fraction(1, 8))).members())
+
+    def test_non_decimal_digit_is_parse_error(self):
+        # Unicode decimal digits are integers; '\u00b2' (superscript two) is
+        # a digit to str.isdigit but not to int()
+        assert parse_set_spec("explicit(1,\u0663)") == Explicit((1, 3))
+        with pytest.raises(ParseError) as exc:
+            parse_set_spec("threshold(\u00b2)")
+        assert exc.value.position == 10
+
+    def test_integer_past_int_string_limit_is_parse_error(self):
+        with pytest.raises(ParseError) as exc:
+            parse_set_spec("threshold( " + "7" * 5000 + ")")
+        assert exc.value.position == 11
+
+    def test_nesting_past_recursion_limit_is_parse_error(self):
+        with pytest.raises(ParseError):
+            parse_set_spec("complement(" * 2000)
+
+    def test_float_parameters_print(self):
+        assert spec_to_text(Bernoulli(0.5, 1)) == "bernoulli(1/2,1)"
+        assert spec_to_text(BohrSet(1, 3, 0.25)) == "bohr(1/3,1/4)"
+
+    NAMES = ["multiples", "pow2", "bernoulli", "bohr", "threshold", "explicit", "file",
+             "union", "intersect", "translate", "complement"]
+    DSL_ALPHABET = st.sampled_from(
+        list("()/,.+-'\" 0123456789_x\u00b2\u0663") + NAMES + [n + "(" for n in NAMES]
+        + ["9" * 4400, "complement(" * 400])
+
+    @given(st.lists(DSL_ALPHABET, max_size=30).map("".join))
+    @settings(max_examples=500, deadline=None)
+    def test_any_text_parses_or_raises_parse_error(self, text):
+        try:
+            parse_set_spec(text)
+        except ParseError as exc:
+            assert 0 <= exc.position <= len(text)

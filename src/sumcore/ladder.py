@@ -10,9 +10,10 @@ this relation; k <= 1 for highly structured sets (unions of cosets),
 while threshold-style sets carry ladders as long as the window allows.
 
 Search is one depth-first walk (``search.preorder``) over alternating
-b/c choices with bitset candidate propagation, spending the shared node
-budget (``search.Budget``) per candidate; it keeps the longest ladder
-seen.  Depth is bounded by memory, not by the recursion limit.  Finding
+b/c choices, one operand per twin class of the relation, with bitset
+candidate propagation, spending the shared node budget
+(``search.Budget``) per candidate; it keeps the longest ladder seen.
+Depth is bounded by memory, not by the recursion limit.  Finding
 maximum ladders embeds half-graphs, which is hard in general, so
 exactness is promised only when the search exhausts its tree within
 budget.
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ModelMismatch
-from .model import DenseSet, Relation, iter_bits, iter_bits_desc
+from .model import DenseSet, Relation, from_mask, iter_bits, iter_bits_desc
 from .search import Budget, preorder
 # bench/tracing.py wraps ``sumcore.ladder.quotient`` by name
 from .model import quotient  # noqa: F401
@@ -47,8 +48,23 @@ class LadderResult:
     nodes: int
 
 
+def _first_of_each(labels):
+    """Bool mask of the first index of each distinct label."""
+    mask = np.zeros(len(labels), dtype=bool)
+    mask[np.unique(labels, return_index=True)[1]] = True
+    return mask
+
+
 def max_ladder(A: DenseSet, model, k_max: int, budget=None) -> LadderResult:
     """Longest ladder of length <= k_max, with certificate.
+
+    The walk tries one operand per twin class (``Relation.twins``): the
+    largest b of each row class and the smallest c of each column class.
+    Twins never share a ladder (rows i < j differ at column c_i, columns
+    i < j at row b_j), and a twin's subtree mirrors its representative's,
+    which the walk visits first, so without a budget k, the certificate
+    and ``lower_bound_only`` are those of the walk over every operand;
+    ``nodes`` counts only the representatives' nodes.
 
     With enough budget the returned k is exact (the whole search tree is
     exhausted); when the node budget runs out the best ladder found so
@@ -59,6 +75,11 @@ def max_ladder(A: DenseSet, model, k_max: int, budget=None) -> LadderResult:
     bud = Budget(budget)
     rel = Relation(A)
     left_q, right_q = rel.left, rel.right
+    rows, cols = rel.twins()
+    # b's are tried descending and c's ascending: the representative of a
+    # class is the member the walk tries first
+    reps_b = from_mask(_first_of_each(rows[::-1])[::-1])
+    reps_c = from_mask(_first_of_each(cols))
 
     def children(node):
         # pool_b: candidates for the next b (avoid A on all chosen c's);
@@ -83,7 +104,7 @@ def max_ladder(A: DenseSet, model, k_max: int, budget=None) -> LadderResult:
                 yield bs + (b,), cs + (c,), pool_b, pool_next
 
     best = ((), ())
-    for bs, cs, _, _ in preorder(((), (), rel.domain, rel.domain), children):
+    for bs, cs, _, _ in preorder(((), (), reps_b, reps_c), children):
         if len(bs) > len(best[0]):
             best = bs, cs
             if len(bs) == k_max:

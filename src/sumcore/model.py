@@ -307,6 +307,9 @@ class Relation:
     ``bs[i] + cs[j]`` or ``table[bs[i], cs[j]]``.  Its index arrays must
     come from ``operands``, or be sliced from arrays it returned: numpy
     would wrap a negative index around to the end of A.
+
+    ``twins()`` labels the operands by their row and by their column of
+    the relation, so that a search can keep one operand per class.
     """
 
     def __init__(self, A):
@@ -340,6 +343,74 @@ class Relation:
 
     def grid(self, bs, cs):
         return self._A.to_numpy()[self._products(bs, cs)]
+
+    def twins(self):
+        """Row and column classes of the operands, as two int arrays of
+        length ``bound``: ``rows[b] == rows[b']`` iff ``left(b) & domain ==
+        left(b') & domain``, and ``cols[c] == cols[c']`` iff ``right(c) &
+        domain == right(c') & domain``.
+
+        On a ZWindow both are the classes of equal windows A[b:b+L] and are
+        the same array.  On a Cayley group they are the equal rows and the
+        equal columns of the n × n grid, which differ when the table is
+        not commutative.
+        """
+        mem = self._A.to_numpy()
+        if isinstance(self._A.model, ZWindow):
+            rows = _window_classes(mem, self.bound)
+            return rows, rows
+        grid = mem[self._A.model._table_array]
+        return _row_classes(grid), _row_classes(grid.T)
+
+
+def _row_classes(grid):
+    """Labels of the rows of a bool matrix, equal iff the rows are: each
+    row packed to bytes and read as one opaque item, which ``np.unique``
+    compares bytewise (far faster than ``np.unique(grid, axis=0)``)."""
+    packed = np.ascontiguousarray(np.packbits(grid, axis=1))
+    items = packed.view(np.dtype((np.void, packed.shape[1]))).reshape(-1)
+    return np.unique(items, return_inverse=True)[1].reshape(-1)
+
+
+# Odd, so every power is invertible mod 2^64; uint64 arithmetic wraps mod 2^64.
+_HASH_BASE = 0x9E3779B97F4A7C15
+
+
+def _window_classes(mem, L):
+    """Labels of the windows mem[b:b+L], b < L, equal iff the windows are.
+
+    A polynomial rolling hash mod 2^64 groups candidate twins in O(M);
+    each member of a group is then compared byte for byte with the
+    group's representatives, and the group splits on a mismatch, so a
+    hash collision (mod 2^64 a Thue–Morse block forces one for any base)
+    never merges two windows.
+    """
+    span = mem[:2 * L - 1]
+    powers = np.ones(2 * L, dtype=np.uint64)  # X^0 .. X^(2L-1)
+    np.cumprod(np.full(2 * L - 1, _HASH_BASE, dtype=np.uint64), out=powers[1:])
+    prefix = np.zeros(2 * L, dtype=np.uint64)
+    np.cumsum(span * powers[:-1], out=prefix[1:])
+    # window b holds the terms X^b .. X^(b+L-1); times X^(2L-1-b), every
+    # window starts at the same power, X^(2L-1)
+    h = (prefix[L:] - prefix[:L]) * powers[:L - 1:-1]
+    _, labels, counts = np.unique(h, return_inverse=True, return_counts=True)
+    labels = labels.reshape(-1)
+    shared = np.flatnonzero(counts[labels] > 1)
+    raw = span.view(np.uint8).tobytes()
+    fresh = len(counts)
+    group, reps = -1, []  # reps: (window bytes, label) of the current group
+    for b in shared[np.argsort(labels[shared], kind="stable")].tolist():
+        if labels[b] != group:
+            group, reps = labels[b], []
+        for rep, label in reps:
+            if raw.startswith(rep, b):  # raw[b:b + L] == rep, without a copy
+                labels[b] = label
+                break
+        else:
+            if reps:  # the hash collided: a new class
+                labels[b], fresh = fresh, fresh + 1
+            reps.append((raw[b:b + L], labels[b]))
+    return labels
 
 
 # --- set files -------------------------------------------------------------

@@ -23,6 +23,7 @@ definable search, which runs on ZWindows alone, inlines its shifts.
 """
 
 import operator
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import islice
 
@@ -207,8 +208,9 @@ def find_triangular_witness(A: DenseSet, model, m: int, scorer=None, budget=None
     domain = rel.domain
 
     def children(node):
-        """All m b's first, then the c's; used_b, used_c = chosen masks."""
-        bs, pools, used_b, cs, used_c = node
+        """All m b's first, then the c's; used_b, used_c = chosen masks;
+        in the c-phase, slack[t] = |P_t minus used_c| - (m - t)."""
+        bs, pools, used_b, cs, used_c, slack = node
         i, j = len(bs), len(cs)
         if i < m:
             prev = pools[-1] if pools else domain
@@ -220,18 +222,26 @@ def find_triangular_witness(A: DenseSet, model, m: int, scorer=None, budget=None
                     return
                 np_ = prev & rel.left(b)
                 if np_.bit_count() >= m - i:
-                    yield bs + (b,), pools + (np_,), used_b | (1 << b), cs, used_c
+                    yield bs + (b,), pools + (np_,), used_b | (1 << b), cs, used_c, None
             return
-        # Hall feasibility over the remaining nested pools
-        for t in range(j, m):
-            if (pools[t] & ~used_c).bit_count() < m - t:
-                return
+        if j == 0:  # the b-phase kept every |P_t| >= m - t; slack[m] = 0 ends scans
+            slack = tuple(p.bit_count() - m + t for t, p in enumerate(pools)) + (0,)
+        # Hall feasibility over the remaining nested pools: every slack of
+        # this node is >= 0, and taking c costs one slack on each P_t that
+        # holds c, a prefix of the pools after j.  A child with a negative
+        # slack is never yielded: it would have no children.
+        tight = slack.index(0, j + 1)
+        first_tight = pools[tight] if tight < m else 0
         for c in iter_bits(pools[j] & ~used_c):
             if not bud.spend():
                 return
-            yield bs, pools, used_b, cs + (c,), used_c | (1 << c)
+            if first_tight >> c & 1:
+                continue
+            held = bisect_left(pools, True, j + 1, m, key=lambda p: not p >> c & 1)
+            child = slack[:j + 1] + tuple(s - 1 for s in slack[j + 1:held]) + slack[held:]
+            yield bs, pools, used_b, cs + (c,), used_c | (1 << c), child
 
-    for bs, _, _, cs, _ in preorder(((), (), 0, (), 0), children):
+    for bs, _, _, cs, _, _ in preorder(((), (), 0, (), 0, None), children):
         if len(cs) == m:
             return TriangularWitness(bs, cs)
     return NotFound(exhaustive=not bud.exhausted)

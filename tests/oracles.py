@@ -123,6 +123,32 @@ def brute_max_ladder(A, model, k_max):
     return best
 
 
+def dfs_max_ladder(A, model, k_max):
+    """(k, b's, c's) of the first longest ladder of length <= k_max that
+    the depth-first search over every operand meets: b's descending, c's
+    ascending, each next b outside right(c) of the last c, each next c in
+    left(b) of every b so far; it stops at the first ladder of k_max."""
+    best = [(), ()]
+
+    def walk(bs, cs, pool_b, pool_c):
+        if len(bs) > len(best[0]):
+            best[:] = bs, cs
+        if len(bs) == k_max:
+            return True
+        if cs:
+            pool_b = [b for b in pool_b if not in_set(A, model, b, cs[-1])]
+        for b in sorted(pool_b, reverse=True):
+            pool_next = [c for c in pool_c if in_set(A, model, b, c)]
+            for c in pool_next:
+                if walk(bs + (b,), cs + (c,), pool_b, pool_next):
+                    return True
+        return False
+
+    elems = operand_elements(model)
+    walk((), (), elems, elems)
+    return len(best[0]), *best
+
+
 def brute_min_cover(A, model):
     """Lexicographically least minimum cover of a CayleyGroup by left
     translates of A, as the tuple of translating elements, or None.

@@ -1,3 +1,6 @@
+import itertools
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,10 +15,11 @@ from sumcore import (
     cyclic_table,
     generate_set,
     max_ladder,
+    parse_set_spec,
     verify_ladder,
 )
 
-from .oracles import brute_max_ladder
+from .oracles import brute_max_ladder, dfs_max_ladder
 
 
 def zw(M, L):
@@ -24,6 +28,39 @@ def zw(M, L):
 
 def zn(n):
     return build_model({"kind": "cayley", "table": [list(r) for r in cyclic_table(n)]})
+
+
+def s3():
+    """S_3 as the composition table of the permutations of {0, 1, 2}."""
+    perms = list(itertools.permutations(range(3)))
+    table = [[perms.index(tuple(p[q[x]] for x in range(3))) for q in perms]
+             for p in perms]
+    return build_model({"kind": "cayley", "table": table})
+
+
+@st.composite
+def twin_rich_zwindow(draw):
+    """A union of 1-2 progressions over a ZWindow of M <= 48, sometimes
+    with a threshold tail [t, M) and one element flipped: many equal
+    windows, so many twins, and ladders longer than 1."""
+    M = draw(st.integers(4, 48))
+    m = zw(M, draw(st.integers(2, M // 2)))
+    bits = 0
+    for _ in range(draw(st.integers(1, 2))):
+        q = draw(st.integers(1, 6))
+        bits |= sum(1 << x for x in range(draw(st.integers(0, q - 1)), M, q))
+    if draw(st.booleans()):
+        bits |= (1 << M) - (1 << draw(st.integers(0, M - 1)))
+    if draw(st.booleans()):
+        bits ^= 1 << draw(st.integers(0, M - 1))
+    return m, DenseSet(m, bits)
+
+
+def assert_matches_dfs(m, A, k_max):
+    got = max_ladder(A, m, k_max)
+    k, bs, cs = dfs_max_ladder(A, m, k_max)
+    cert = LadderCertificate(bs, cs) if k else None
+    assert (got.k, got.certificate, got.lower_bound_only) == (k, cert, False)
 
 
 class TestMaxLadder:
@@ -110,6 +147,46 @@ class TestMaxLadder:
         assert got.k == brute_max_ladder(A, m, 3)
         if got.certificate is not None:
             assert verify_ladder(got.certificate, A, m)
+
+    @given(twin_rich_zwindow(), st.integers(1, 4))
+    @settings(max_examples=150, deadline=None)
+    def test_same_ladder_as_unreduced_search_zwindow(self, inst, k_max):
+        assert_matches_dfs(*inst, k_max)
+
+    @given(st.integers(2, 12), st.integers(0, 2 ** 12 - 1), st.integers(1, 4))
+    @settings(max_examples=100, deadline=None)
+    def test_same_ladder_as_unreduced_search_zn(self, n, bits, k_max):
+        m = zn(n)
+        assert_matches_dfs(m, DenseSet(m, bits & m.operand_mask), k_max)
+
+    @given(st.integers(0, 63), st.integers(1, 4))
+    @settings(max_examples=64, deadline=None)
+    def test_same_ladder_as_unreduced_search_s3(self, bits, k_max):
+        # not commutative: row and column classes differ
+        m = s3()
+        assert_matches_dfs(m, DenseSet(m, bits), k_max)
+
+    def test_stable_set_answers_within_small_budget(self):
+        # three twin classes a side; a walk over every operand needs
+        # 384,481,200 nodes here
+        m = zw(2400, 1200)
+        A = generate_set(m, Multiples(3))
+        res = max_ladder(A, m, 2, budget=10_000)
+        assert (res.k, res.lower_bound_only) == (1, False)
+        assert res.nodes <= 100
+
+    @pytest.mark.parametrize("spec", ["threshold(16384)", "multiples(3)",
+                                      "bernoulli(1/2,7)"])
+    def test_twin_classes_at_scale(self, spec):
+        # 32768 operands a side: threshold windows are 2^L - 2^j, which a
+        # dict of big ints would hash into 61 buckets
+        m = zw(65536, 32768)
+        A = generate_set(m, parse_set_spec(spec))
+        t0 = time.time()
+        res = max_ladder(A, m, 2)
+        assert time.time() - t0 < 1
+        assert not res.lower_bound_only
+        assert verify_ladder(res.certificate, A, m)
 
     def test_coset_stability(self):
         # cosets of subgroups have equal-or-disjoint translates, which

@@ -186,6 +186,57 @@ class TestQuotient:
         assert quotient(translate(A, g), g, "left").bits == A.bits
 
 
+def first_of_class(labels):
+    """Each position mapped to the first position with the same label."""
+    first = {}
+    return [first.setdefault(x, i) for i, x in enumerate(labels)]
+
+
+class TestTwins:
+    def test_hash_collision_is_split(self):
+        # t = a Thue–Morse block of length 1024: the windows at 0 and 2048
+        # read (t, 0, ~t, 0) and (~t, 0, t, 0), whose polynomial hashes
+        # mod 2^64 agree for every odd base
+        t = [bin(i).count("1") % 2 for i in range(1024)]
+        mem = t + [0] * 1024 + [1 - x for x in t] + [0] * 1024 + t
+        m = zw(8192, 4096)
+        A = DenseSet.from_members(m, [i for i, x in enumerate(mem) if x])
+        rows, cols = Relation(A).twins()
+        assert rows is cols
+        assert rows[0] != rows[2048]
+        windows = [tuple(mem[b:b + 4096]) for b in range(4096)]
+        assert first_of_class(rows.tolist()) == first_of_class(windows)
+
+    @given(st.integers(2, 30), st.integers(1, 7), st.integers(0, 127),
+           st.lists(st.integers(0, 59), max_size=3))
+    @settings(max_examples=80, deadline=None)
+    def test_zwindow_classes_are_equal_windows(self, L, period, pattern, flips):
+        # a periodic set has many equal windows; the flips break some
+        m = zw(2 * L, L)
+        mem = [pattern >> (i % period) & 1 for i in range(2 * L)]
+        for i in flips:
+            if i < 2 * L:
+                mem[i] ^= 1
+        A = DenseSet.from_members(m, [i for i, x in enumerate(mem) if x])
+        rows, _ = Relation(A).twins()
+        assert first_of_class(rows.tolist()) == first_of_class(
+            [tuple(mem[b:b + L]) for b in range(L)])
+
+    @given(st.integers(2, 9), st.randoms(use_true_random=False), st.integers(0, 511))
+    @settings(max_examples=60, deadline=None)
+    def test_cayley_rows_and_columns(self, n, rnd, bits):
+        r, c = list(range(n)), list(range(n))
+        rnd.shuffle(r)
+        rnd.shuffle(c)
+        m = build_model({"kind": "cayley",
+                         "table": [[(r[i] + c[j]) % n for j in range(n)] for i in range(n)]})
+        A = DenseSet(m, bits & ((1 << n) - 1))
+        rows, cols = Relation(A).twins()
+        in_A = [[A.contains(m.op(b, c)) for c in range(n)] for b in range(n)]
+        assert first_of_class(rows.tolist()) == first_of_class(map(tuple, in_A))
+        assert first_of_class(cols.tolist()) == first_of_class(zip(*in_A))
+
+
 class TestSetFiles:
     def test_plain_round_trip(self, tmp_path):
         path = tmp_path / "a.set"

@@ -172,6 +172,16 @@ class TestTriangularWitness:
         assert w == TriangularWitness((0, 1), (2, 1))
         assert verify_triangular_witness(w, A, m)
 
+    def test_hall_prunes_spend_frozen_nodes(self):
+        # bernoulli(1/2,3) over zwindow:24:12; the c-phase Hall check prunes
+        # five children on the way, and the witness costs exactly 133 nodes
+        m = zw(24, 12)
+        A = DenseSet.from_members(m, [0, 3, 4, 6, 8, 12, 13, 16, 17, 18, 23])
+        w = TriangularWitness((4, 8, 0, 9, 2), (2, 9, 0, 8, 4))
+        assert find_triangular_witness(A, m, 5) == w
+        assert find_triangular_witness(A, m, 5, budget=133) == w
+        assert find_triangular_witness(A, m, 5, budget=132) == NotFound(exhaustive=False)
+
     def test_square_implies_triangular(self):
         m = zw(1024, 512)
         A = generate_set(m, Multiples(3))

@@ -92,6 +92,10 @@ def max_ladder(A: DenseSet, model, k_max: int, budget=None) -> LadderResult:
         bs, cs, pool_b, pool_c = node
         if cs:
             pool_b &= ~right_q(cs[-1])
+        # a b whose row misses pool_c has no c to pair with; when pool_c is
+        # much smaller than pool_b, skip such b's without trying them
+        if 4 * pool_c.bit_count() < pool_b.bit_count():
+            pool_b &= rel.meeting(pool_c)
         for b in iter_bits_desc(pool_b):
             if not bud.spend():
                 return

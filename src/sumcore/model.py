@@ -290,6 +290,13 @@ def translate(A: DenseSet, g: int) -> DenseSet:
     return DenseSet(model, from_mask(mask))
 
 
+# ``Relation.meeting(pool)`` restricts a search's next b only while the
+# pool is this small: on sparse sets (powers of two and the like) that
+# turns exhaustive scans of every operand into near-linear ones, while on
+# a large pool the union of its quotients costs more than the scan.
+_POOL_UNION_LIMIT = 64
+
+
 class Relation:
     """The product relation b·c ∈ A between the operands of A's carrier.
 
@@ -307,6 +314,9 @@ class Relation:
     ``bs[i] + cs[j]`` or ``table[bs[i], cs[j]]``.  Its index arrays must
     come from ``operands``, or be sliced from arrays it returned: numpy
     would wrap a negative index around to the end of A.
+
+    ``meeting(pool)`` is the bitset of the b's with b·c ∈ A for some c in
+    ``pool``: a search that needs such a b draws its candidates from it.
 
     ``twins()`` labels the operands by their row and by their column of
     the relation, so that a search can keep one operand per class.
@@ -343,6 +353,17 @@ class Relation:
 
     def grid(self, bs, cs):
         return self._A.to_numpy()[self._products(bs, cs)]
+
+    def meeting(self, pool):
+        """The union of ``right(c)`` over the c in the bitset ``pool``, or
+        ``domain`` (no restriction) when pool holds more than
+        ``_POOL_UNION_LIMIT`` elements."""
+        if pool.bit_count() > _POOL_UNION_LIMIT:
+            return self.domain
+        out = 0
+        for c in iter_bits(pool):
+            out |= self.right(c)
+        return out
 
     def twins(self):
         """Row and column classes of the operands, as two int arrays of

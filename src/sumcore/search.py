@@ -25,13 +25,14 @@ class Budget:
         self.exhausted = False
         self.spent = 0
 
-    def spend(self):
+    def spend(self, n=1):
+        """Grant n nodes, or mark the budget exhausted if fewer are left."""
         if self.left is not None:
-            if self.left <= 0:
+            if self.left < n:
                 self.exhausted = True
                 return False
-            self.left -= 1
-        self.spent += 1
+            self.left -= n
+        self.spent += n
         return True
 
 

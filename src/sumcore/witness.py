@@ -17,7 +17,9 @@ least (B extended before C), so outcomes are reproducible.  The square
 and triangular searches each give the children of a node (a tuple of
 chosen operands with its candidate pools) to ``search.preorder``, the one
 depth-first walk, and take its first complete node; both spend the one
-node budget, ``search.Budget``.
+node budget, ``search.Budget``.  On sparse ZWindow sets an anchor-side
+walk over the differences of A decides first whether any square witness
+exists (``_anchor_square_exists``).
 Searches and verifiers read b*c in A through one ``Relation``; only the
 definable search, which runs on ZWindows alone, inlines its shifts.
 """
@@ -104,21 +106,62 @@ class UpgradeResult:
     ladder: object  # LadderCertificate when tag == "ladder"
 
 
-# When the surviving pool is small, any further b must hit it, so the
-# candidates are confined to the union of right quotients of the pool
-# members.  This turns exhaustive refutations on sparse sets (powers of
-# two and the like) from quadratic scans into near-linear ones.
-_POOL_UNION_LIMIT = 64
-
-
-def _pool_union(rel, pool):
-    cand = 0
-    for c in iter_bits(pool):
-        cand |= rel.right(c)
-    return cand
-
-
 # --- square witnesses ---------------------------------------------------------
+
+# find_square_witness asks the anchor side first on a ZWindow with at most
+# this many members below 2L - 1 (measured; see the README's performance notes)
+_ANCHOR_LIMIT = 256
+
+
+def _anchor_square_exists(A: DenseSet, k: int, bud: Budget):
+    """Whether a ZWindow set A holds a k x k square witness, decided from
+    the members of A below 2L - 1: True or False, or None when ``bud``
+    runs out first.
+
+    Write C = c1 + D with D = {0 = d1 < d2 < ... < dk < L} and call
+    a = b + c1 an *anchor*: every anchor lies in
+    S(D) = {a in A : a + D inside A}.  Conversely k anchors
+    a1 < ... < ak of S(D) give the witness b_i = a_i - c1 for any c1 in
+    [max(0, ak - L + 1), min(a1, L - 1 - dk)], and that range is non-empty
+    iff ak - a1 < L (ak + dk <= 2L - 2 holds because ak + dk is in A below
+    2L - 1).  So a witness exists iff some D has k anchors within L - 1 of
+    each other.  The walk grows D in increasing order; the next d is drawn
+    from the differences x - a of members x and anchors a, one node per
+    distinct d, and its anchors are the a's of those pairs.  A branch is
+    cut when no k of its anchors fit one window: S only shrinks as D grows.
+    """
+    L = A.model.operand_bound
+    members = np.flatnonzero(A.to_numpy()[:2 * L - 1])
+
+    def fits(anchors):
+        """Some k of the sorted anchors lie within L - 1 of each other."""
+        n = len(anchors)
+        return n >= k and bool((anchors[k - 1:] - anchors[:n - k + 1] < L).any())
+
+    def children(node):
+        """Every d in (last, L) with a + d in A for some anchor a costs one
+        node; only the d's with k anchors are looked at, the rest are
+        charged in bulk."""
+        size, last, anchors = node
+        diffs = members - anchors[:, None]
+        ds, counts = np.unique(diffs[(diffs > last) & (diffs < L)], return_counts=True)
+        tried = 0
+        for i in np.flatnonzero(counts >= k).tolist():
+            if not bud.spend(i + 1 - tried):
+                return
+            tried = i + 1
+            d = int(ds[i])
+            child = anchors[np.isin(anchors + d, members, assume_unique=True)]
+            if fits(child):
+                yield size + 1, d, child
+        bud.spend(len(ds) - tried)
+
+    if not fits(members):
+        return False
+    for size, _, _ in preorder((1, 0, members), children):
+        if size == k:
+            return True
+    return None if bud.exhausted else False
 
 
 def find_square_witness(A: DenseSet, model, k: int, mode="exact", budget=None):
@@ -130,6 +173,14 @@ def find_square_witness(A: DenseSet, model, k: int, mode="exact", budget=None):
     first complete B is lexicographically least, and C is then the k
     smallest pool elements.  With sufficient budget the outcome is a
     witness or ``NotFound(exhaustive=True)``.
+
+    On a ZWindow with at most ``_ANCHOR_LIMIT`` members below 2L - 1,
+    exact mode first asks the anchor side (``_anchor_square_exists``),
+    whose cost grows with those members instead of with L.  Its "none" is
+    the answer, ``NotFound(exhaustive=True)``; on "exists", or when it
+    runs out of budget, the search above runs under a budget of its own,
+    so every other answer, the lex-least witness included, is the one
+    the search alone gives.  Cayley groups always take the search alone.
 
     Heuristic mode delegates to the greedy back-and-forth construction
     and never claims exhaustiveness.
@@ -149,6 +200,10 @@ def find_square_witness(A: DenseSet, model, k: int, mode="exact", budget=None):
     domain = rel.domain
     if domain.bit_count() < k:
         return NotFound(exhaustive=True)
+    if isinstance(model, ZWindow) \
+            and (A.bits & ((1 << (2 * rel.bound - 1)) - 1)).bit_count() <= _ANCHOR_LIMIT \
+            and _anchor_square_exists(A, k, Budget(budget)) is False:
+        return NotFound(exhaustive=True)
 
     def children(node):
         """Increasing b's after the last chosen; pool = surviving C candidates."""
@@ -156,8 +211,7 @@ def find_square_witness(A: DenseSet, model, k: int, mode="exact", budget=None):
         cand = domain
         if bs:
             cand = (cand >> (bs[-1] + 1)) << (bs[-1] + 1)
-            if pool.bit_count() <= _POOL_UNION_LIMIT:
-                cand &= _pool_union(rel, pool)
+            cand &= rel.meeting(pool)
         for b in iter_bits(cand):
             if not bud.spend():
                 return
@@ -215,8 +269,8 @@ def find_triangular_witness(A: DenseSet, model, m: int, scorer=None, budget=None
         if i < m:
             prev = pools[-1] if pools else domain
             cand = domain & ~used_b
-            if i > 0 and prev.bit_count() <= _POOL_UNION_LIMIT:
-                cand &= _pool_union(rel, prev)
+            if i > 0:
+                cand &= rel.meeting(prev)
             for b in iter_bits(cand):
                 if not bud.spend():
                     return

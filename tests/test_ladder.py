@@ -1,4 +1,5 @@
 import itertools
+import random
 import time
 
 import pytest
@@ -10,6 +11,7 @@ from sumcore import (
     LadderCertificate,
     ModelMismatch,
     Multiples,
+    PowersOf2,
     Threshold,
     build_model,
     cyclic_table,
@@ -165,6 +167,28 @@ class TestMaxLadder:
         # not commutative: row and column classes differ
         m = s3()
         assert_matches_dfs(m, DenseSet(m, bits), k_max)
+
+    @given(st.integers(16, 64), st.integers(0, 2 ** 32 - 1), st.integers(1, 3))
+    @settings(max_examples=100, deadline=None)
+    def test_same_ladder_as_unreduced_search_sparse(self, M, seed, k_max):
+        # small c-pools: the walk skips the b's whose rows miss them
+        rng = random.Random(seed)
+        m = zw(M, M // 2)
+        A = DenseSet.from_members(m, [x for x in range(M) if rng.random() < 0.15])
+        assert_matches_dfs(m, A, k_max)
+
+    def test_sparse_twin_free_set_at_scale(self):
+        # pow2 has no twins and each b meets about one c; trying every b
+        # below each first pair took 33.5M nodes at 2^14 and did not
+        # finish at 2^16
+        m = zw(1 << 16, 1 << 15)
+        A = generate_set(m, PowersOf2())
+        t0 = time.time()
+        res = max_ladder(A, m, 2)
+        assert time.time() - t0 < 10
+        assert (res.k, res.lower_bound_only) == (2, False)
+        assert res.certificate == LadderCertificate((16384, 0), (0, 16384))
+        assert res.nodes <= 1 << 16
 
     def test_stable_set_answers_within_small_budget(self):
         # three twin classes a side; a walk over every operand needs

@@ -1,7 +1,8 @@
 import random
+import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sumcore import (
@@ -32,6 +33,10 @@ from sumcore import (
     verify_triangular_witness,
     verify_upgrade,
 )
+
+from sumcore import witness
+from sumcore.search import Budget
+from sumcore.witness import _ANCHOR_LIMIT, _anchor_square_exists
 
 from .oracles import brute_square, power_quadruple_solutions
 
@@ -148,6 +153,84 @@ class TestSquareWitness:
         with pytest.raises(ModelMismatch):
             verify_square_witness(SquareWitness((0,), (0,)),
                                   DenseSet.from_members(zw(10, 5), [0]), m)
+
+
+@st.composite
+def zwindow_of_density(draw):
+    """A ZWindow with M in [8, 80] whose elements are members with a drawn
+    probability between 0.1 and 0.8."""
+    M = draw(st.integers(8, 80))
+    m = zw(M, draw(st.integers(2, M // 2)))
+    density = draw(st.sampled_from([0.1, 0.2, 0.35, 0.5, 0.65, 0.8]))
+    rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+    return m, DenseSet.from_members(m, [x for x in range(M) if rng.random() < density])
+
+
+class TestAnchorSide:
+    """The anchor-side existence search, called directly, so that the
+    crossover in find_square_witness cannot hide it."""
+
+    @given(zwindow_of_density(), st.integers(1, 3))
+    @settings(max_examples=300, deadline=None)
+    # D = {0, 1} has the anchors 0 and 4, exactly L apart, and D = {0, L}
+    # is not an operand difference: no witness
+    @example((zw(8, 4), DenseSet.from_members(zw(8, 4), [0, 1, 4, 5])), 2)
+    def test_verdict_matches_oracle(self, inst, k):
+        m, A = inst
+        want = brute_square(A, m, k)
+        assert _anchor_square_exists(A, k, Budget(None)) == (want is not None)
+        # every set this small takes the route, and the witness is still
+        # the lex-least one
+        anchors = A.bits & ((1 << (2 * m.operand_bound - 1)) - 1)
+        assert anchors.bit_count() <= _ANCHOR_LIMIT
+        got = find_square_witness(A, m, k)
+        if want is None:
+            assert got == NotFound(exhaustive=True)
+        else:
+            assert (got.b, got.c) == want
+
+    def test_budget_counts_candidate_differences(self):
+        # pow2 below 2L - 1 is 1, 2, ..., 2048: its 66 differences 2^j - 2^i
+        # are all below L and distinct (a Sidon set), so no d has 2 anchors
+        m = zw(1 << 12, 1 << 11)
+        A = generate_set(m, PowersOf2())
+        bud = Budget(None)
+        assert _anchor_square_exists(A, 2, bud) is False
+        assert bud.spent == 66
+        assert _anchor_square_exists(A, 2, Budget(66)) is False
+        assert _anchor_square_exists(A, 2, Budget(65)) is None
+        assert _anchor_square_exists(A, 2, Budget(0)) is None
+
+    def test_pow2_refuted_at_2_20(self):
+        m = zw(1 << 20, 1 << 19)
+        A = generate_set(m, PowersOf2())
+        t0 = time.time()
+        assert find_square_witness(A, m, 2) == NotFound(exhaustive=True)
+        curve = growth_curve(A, m, 3)
+        assert [(p.found, p.exhaustive) for p in curve] == [(True, True), (False, True),
+                                                            (False, True)]
+        assert time.time() - t0 < 10
+        # a budget bounds the route too
+        assert find_square_witness(A, m, 2, budget=5) == NotFound(exhaustive=False)
+
+    def test_route_taken_only_on_sparse_zwindows(self, monkeypatch):
+        calls = []
+
+        def spy(A, k, bud):
+            calls.append(A.model)
+            return _anchor_square_exists(A, k, bud)
+
+        monkeypatch.setattr(witness, "_anchor_square_exists", spy)
+        sparse = zw(1 << 12, 1 << 11)
+        assert find_square_witness(generate_set(sparse, PowersOf2()), sparse, 2) \
+            == NotFound(exhaustive=True)
+        dense = zw(1024, 512)
+        assert isinstance(find_square_witness(generate_set(dense, Multiples(3)), dense, 4),
+                          SquareWitness)
+        group = zn(16)
+        assert find_square_witness(generate_set(group, Multiples(4)), group, 5) \
+            == NotFound(exhaustive=True)
+        assert calls == [sparse]
 
 
 class TestTriangularWitness:

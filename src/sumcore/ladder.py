@@ -23,7 +23,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ModelMismatch
 from .model import DenseSet, Relation, from_mask, iter_bits, iter_bits_desc
 from .search import Budget, preorder
 # bench/tracing.py wraps ``sumcore.ladder.quotient`` by name
@@ -73,7 +72,7 @@ def max_ladder(A: DenseSet, model, k_max: int, budget=None) -> LadderResult:
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
     bud = Budget(budget)
-    rel = Relation(A)
+    rel = Relation(A, model)
     left_q, right_q = rel.left, rel.right
     rows, cols = rel.twins()
     # b's are tried descending and c's ascending: the representative of a
@@ -121,11 +120,4 @@ def max_ladder(A: DenseSet, model, k_max: int, budget=None) -> LadderResult:
 def verify_ladder(cert: LadderCertificate, A: DenseSet, model) -> bool:
     """Recheck the full k x k iff-pattern: the grid is true exactly on and
     above the diagonal."""
-    if A.model != model:
-        raise ModelMismatch("set and model disagree")
-    rel = Relation(A)
-    ops = rel.operands(cert.b, cert.c)
-    k = len(cert.b)
-    if ops is None or len(cert.c) != k:
-        return False
-    return bool((rel.grid(*ops) == ~np.tri(k, k=-1, dtype=bool)).all())
+    return Relation(A, model).certifies(cert.b, cert.c, "ladder")

@@ -22,11 +22,12 @@ mask path, ``from_mask``: a bool mask, packed little-endian and read as
 one integer.
 
 Every search and verifier of witnesses and ladders reads the relation
-b·c ∈ A through one ``Relation``: the operand bitsets {c : b·c ∈ A} and
-{b : b·c ∈ A} (a shift of A on a ZWindow, a memoized ``quotient`` on a
-Cayley group) and, for verifiers, the bool grid of b·c ∈ A over two
-operand sequences, one numpy gather at the sums or at the entries of the
-Cayley table held as an integer array.  Cayley ``quotient`` and
+b·c ∈ A through one ``Relation``, which refuses a set from another
+model: the operand bitsets {c : b·c ∈ A} and {b : b·c ∈ A} (a shift of A
+on a ZWindow, a memoized ``quotient`` on a Cayley group) and, for
+verifiers, one test of a certificate's bool grid of b·c ∈ A against its
+pattern, the grid being one numpy gather at the sums or at the entries
+of the Cayley table held as an integer array.  Cayley ``quotient`` and
 ``translate`` are gathers over that array too.
 """
 
@@ -102,9 +103,6 @@ class ZWindow:
         s = a + b
         return s if s < self.ambient_size else None
 
-    def describe(self):
-        return f"zwindow:{self.ambient_size}:{self.operand_bound}"
-
 
 @dataclass(frozen=True)
 class CayleyGroup:
@@ -131,9 +129,6 @@ class CayleyGroup:
     def _table_array(self):
         """The table as an integer array, built on first use."""
         return np.array(self.table, dtype=np.intp)
-
-    def describe(self):
-        return f"cayley:{self.order}"
 
 
 def cyclic_table(n):
@@ -248,11 +243,6 @@ class DenseSet:
         return f"DenseSet(|A|={n}, {{{head}{tail}}})"
 
 
-def check_same_model(a: DenseSet, b: DenseSet):
-    if a.model != b.model:
-        raise ModelMismatch("sets live over different carriers")
-
-
 def quotient(A: DenseSet, g: int, side: str) -> DenseSet:
     """Translate quotient of A by g.
 
@@ -300,6 +290,9 @@ _POOL_UNION_LIMIT = 64
 class Relation:
     """The product relation b·c ∈ A between the operands of A's carrier.
 
+    ``Relation(A, model)`` raises ``ModelMismatch`` unless A lives over
+    ``model`` (by default A's own model).
+
     ``domain`` is the bitset of the operands and ``bound`` their number
     (L on a ZWindow, n on a Cayley group of order n).  ``left(b)`` is the
     bitset of {c : b·c ∈ A} and ``right(c)`` that of {b : b·c ∈ A}, as
@@ -314,6 +307,9 @@ class Relation:
     ``bs[i] + cs[j]`` or ``table[bs[i], cs[j]]``.  Its index arrays must
     come from ``operands``, or be sliced from arrays it returned: numpy
     would wrap a negative index around to the end of A.
+    ``certifies(bs, cs, pattern)`` is the verdict of every grid
+    certificate: operand sequences checked by ``operands``, one gather,
+    one pattern test.
 
     ``meeting(pool)`` is the bitset of the b's with b·c ∈ A for some c in
     ``pool``: a search that needs such a b draws its candidates from it.
@@ -322,7 +318,9 @@ class Relation:
     the relation, so that a search can keep one operand per class.
     """
 
-    def __init__(self, A):
+    def __init__(self, A, model=None):
+        if model is not None and A.model != model:
+            raise ModelMismatch("set and model disagree")
         model = A.model
         self.domain = domain = model.operand_mask
         self.bound = domain.bit_length()
@@ -353,6 +351,26 @@ class Relation:
 
     def grid(self, bs, cs):
         return self._A.to_numpy()[self._products(bs, cs)]
+
+    def certifies(self, bs, cs, pattern):
+        """Whether the operand sequences bs, cs give a grid of b·c ∈ A with
+        ``pattern``: ``"all"`` true (any shape; definable witnesses),
+        ``"square"`` all true and k × k, ``"upper"`` k × k and true on and
+        above the diagonal (triangular witnesses), ``"ladder"`` k × k and
+        true exactly there.  Malformed operands give False.  The pattern
+        is tested in place: a second k × k array is 16 MB at k = 4096."""
+        ops = self.operands(bs, cs)
+        if ops is None:
+            return False
+        k = len(ops[0])
+        if pattern != "all" and len(ops[1]) != k:
+            return False
+        grid = self.grid(*ops)
+        if pattern == "upper":
+            grid |= np.tri(k, k=-1, dtype=bool)
+        elif pattern == "ladder":
+            grid ^= np.tri(k, k=-1, dtype=bool)  # below-diagonal falses turn true
+        return bool(grid.all())
 
     def meeting(self, pool):
         """The union of ``right(c)`` over the c in the bitset ``pool``, or

@@ -20,7 +20,9 @@ depth-first walk, and take its first complete node; both spend the one
 node budget, ``search.Budget``.  On sparse ZWindow sets an anchor-side
 walk over the differences of A decides first whether any square witness
 exists (``_anchor_square_exists``).
-Searches and verifiers read b*c in A through one ``Relation``; only the
+Searches and verifiers read b*c in A through one ``Relation``, built from
+(A, model), so a set from another model raises ``ModelMismatch``; each
+verifier ends in its one pattern check, ``Relation.certifies``.  Only the
 definable search, which runs on ZWindows alone, inlines its shifts.
 """
 
@@ -196,7 +198,7 @@ def find_square_witness(A: DenseSet, model, k: int, mode="exact", budget=None):
     if mode != "exact":
         raise ValueError(f"unknown mode {mode!r}")
 
-    rel = Relation(A)
+    rel = Relation(A, model)
     domain = rel.domain
     if domain.bit_count() < k:
         return NotFound(exhaustive=True)
@@ -226,12 +228,8 @@ def find_square_witness(A: DenseSet, model, k: int, mode="exact", budget=None):
 
 
 def verify_square_witness(w: SquareWitness, A: DenseSet, model) -> bool:
-    """Every product b*c in A: the whole grid is true."""
-    if A.model != model:
-        raise ModelMismatch("set and model disagree")
-    rel = Relation(A)
-    ops = rel.operands(w.b, w.c)
-    return ops is not None and len(w.b) == len(w.c) and bool(rel.grid(*ops).all())
+    """Every product b*c in A: the whole k x k grid is true."""
+    return Relation(A, model).certifies(w.b, w.c, "square")
 
 
 # --- triangular witnesses -----------------------------------------------------
@@ -246,8 +244,9 @@ def find_triangular_witness(A: DenseSet, model, m: int, scorer=None, budget=None
     NotFound; ``seed`` drives the ``random`` scorer).  Otherwise runs an
     exact backtracking search: the b's are chosen first, tracking the
     nested pools P_j = ∩_{i<=j} {c : b_i*c in A}; by a Hall argument over
-    nested pools, distinct c's exist iff |P_j| >= m - j for every j, so
-    the c-phase rarely backtracks.
+    nested pools, distinct c's exist iff |P_j| >= m - j for every j.  The
+    b-phase keeps that condition and the c-phase yields only the c's that
+    keep it, so the c-phase never backtracks: only the budget stops it.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
@@ -258,7 +257,7 @@ def find_triangular_witness(A: DenseSet, model, m: int, scorer=None, budget=None
             return TriangularWitness(res.b, res.c)
         return NotFound(exhaustive=False)
 
-    rel = Relation(A)
+    rel = Relation(A, model)
     domain = rel.domain
 
     def children(node):
@@ -303,15 +302,7 @@ def find_triangular_witness(A: DenseSet, model, m: int, scorer=None, budget=None
 
 def verify_triangular_witness(w: TriangularWitness, A: DenseSet, model) -> bool:
     """b_i*c_j in A for i <= j: the grid is true on and above the diagonal."""
-    if A.model != model:
-        raise ModelMismatch("set and model disagree")
-    rel = Relation(A)
-    ops = rel.operands(w.b, w.c)
-    if ops is None or len(w.b) != len(w.c):
-        return False
-    grid = rel.grid(*ops)
-    grid |= np.tri(len(w.b), k=-1, dtype=bool)
-    return bool(grid.all())
+    return Relation(A, model).certifies(w.b, w.c, "upper")
 
 
 # --- greedy back-and-forth ----------------------------------------------------
@@ -336,48 +327,34 @@ def greedy_back_and_forth(A: DenseSet, model, k: int, scorer="pool_size", seed=0
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    rel = Relation(A)
-    domain = rel.domain
+    if scorer not in ("pool_size", "density_weighted", "random"):
+        raise ValueError(f"unknown scorer {scorer!r}")
+    rel = Relation(A, model)
     rng = splitmix_stream(seed) if scorer == "random" else None
+    counted = A.bits if scorer == "density_weighted" else -1  # -1: every bit
 
     def pick(pool, opposite, quot):
-        if scorer == "random":
-            size = pool.bit_count()
-            r = next(rng) % size
-            for i, g in enumerate(iter_bits(pool)):
-                if i == r:
-                    return g
-        best_g, best_score = -1, -1
-        for g in iter_bits(pool):
-            surviving = opposite & quot(g)
-            if scorer == "pool_size":
-                score = surviving.bit_count()
-            elif scorer == "density_weighted":
-                score = (surviving & A.bits).bit_count()
-            else:
-                raise ValueError(f"unknown scorer {scorer!r}")
-            if score > best_score:
-                best_g, best_score = g, score
-        return best_g
+        if rng is not None:
+            return next(islice(iter_bits(pool), next(rng) % pool.bit_count(), None))
+        opposite &= counted
+        # max keeps the first best: ties go to the smallest element
+        return max(iter_bits(pool), key=lambda g: (opposite & quot(g)).bit_count())
 
     bs, cs = [], []
-    pool_b, pool_c = domain, domain
-    used_b, used_c = 0, 0
+    pool_b = pool_c = rel.domain
     for _ in range(k):
-        avail_b = pool_b & ~used_b
-        if not avail_b:
+        if not pool_b:
             return Stuck(tuple(bs), tuple(cs))
-        b = pick(avail_b, pool_c & ~used_c, rel.left)
+        b = pick(pool_b, pool_c, rel.left)
         bs.append(b)
-        used_b |= 1 << b
+        pool_b ^= 1 << b
         pool_c &= rel.left(b)
 
-        avail_c = pool_c & ~used_c
-        if not avail_c:
+        if not pool_c:
             return Stuck(tuple(bs), tuple(cs))
-        c = pick(avail_c, pool_b & ~used_b, rel.right)
+        c = pick(pool_c, pool_b, rel.right)
         cs.append(c)
-        used_c |= 1 << c
+        pool_c ^= 1 << c
         pool_b &= rel.right(c)
     return SquareWitness(tuple(bs), tuple(cs))
 
@@ -401,7 +378,7 @@ def ramsey_upgrade(tri: TriangularWitness, A: DenseSet, model) -> UpgradeResult:
     """
     if not verify_triangular_witness(tri, A, model):
         raise InvalidInput("input does not verify as a triangular witness")
-    rel = Relation(A)
+    rel = Relation(A, model)
     bs_arr, cs_arr = rel.operands(tri.b, tri.c)
 
     pivots, labels = [], []
@@ -427,11 +404,15 @@ def ramsey_upgrade(tri: TriangularWitness, A: DenseSet, model) -> UpgradeResult:
 
 
 def verify_upgrade(res: UpgradeResult, A: DenseSet, model) -> bool:
+    """The certificate the tag names verifies; False when that field holds
+    no certificate of its kind."""
+    # looked up per call: bench/tracing.py wraps ``ladder.verify_ladder``
+    # on its module, which a name bound at import time would bypass
     from .ladder import verify_ladder
 
-    if res.tag == "square":
+    if res.tag == "square" and isinstance(res.square, SquareWitness):
         return verify_square_witness(res.square, A, model)
-    if res.tag == "ladder":
+    if res.tag == "ladder" and isinstance(res.ladder, LadderCertificate):
         return verify_ladder(res.ladder, A, model)
     return False
 
@@ -459,12 +440,14 @@ def definable_witness_search(A: DenseSet, model, family, n: int,
     elif family == "aps":
         if step_max is None:
             step_max = 64
+        if step_max < 1:
+            raise ValueError(f"step_max must be >= 1, got {step_max}")
         steps = list(range(1, step_max + 1))
     else:
         raise ValueError(f"unknown family {family!r}")
 
     bud = Budget(budget)
-    rel = Relation(A)
+    rel = Relation(A, model)
     L, domain = rel.bound, rel.domain
 
     # Parameters scan in canonical order (step1, start1, step2, start2).
@@ -505,12 +488,12 @@ def definable_witness_search(A: DenseSet, model, family, n: int,
 
 
 def verify_definable_witness(w: DefinableWitness, A: DenseSet, model) -> bool:
-    if not isinstance(model, ZWindow) or A.model != model:
+    if not isinstance(model, ZWindow):
         raise ModelMismatch("definable witnesses live over ZWindow models")
+    rel = Relation(A, model)
     t1, t2 = w.theta1, w.theta2
     if w.family not in ("intervals", "aps"):
         return False
-    rel = Relation(A)
     for t in (t1, t2):
         try:
             start, step, length = map(operator.index, (t.start, t.step, t.length))
@@ -521,8 +504,7 @@ def verify_definable_witness(w: DefinableWitness, A: DenseSet, model) -> bool:
             return False
         if start < 0 or start + (length - 1) * step >= rel.bound:
             return False
-    ops = rel.operands(t1.elements(), t2.elements())
-    return ops is not None and bool(rel.grid(*ops).all())
+    return rel.certifies(t1.elements(), t2.elements(), "all")
 
 
 # --- growth curve ---------------------------------------------------------------

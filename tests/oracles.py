@@ -97,6 +97,51 @@ def brute_square_exists(A, model, k):
     return brute_square(A, model, k) is not None
 
 
+def greedy_square(A, model, k, scorer, rng=None):
+    """The alternating greedy construction, one product at a time:
+    (b's, c's, complete), complete False when a pool emptied first.
+
+    The b-pool holds the unused b's with b*c in A for every chosen c, the
+    c-pool the unused c's with b*c in A for every chosen b.  A pick takes
+    the pool element that keeps the most of the opposite pool
+    (``pool_size``) or the most of its members of A (``density_weighted``),
+    the first in increasing order on a tie; ``random`` takes the element
+    at ``next(rng) % len(pool)``.
+    """
+    elems = operand_elements(model)
+    bs, cs = [], []
+
+    def b_pool():
+        return [b for b in elems if b not in bs
+                and all(in_set(A, model, b, c) for c in cs)]
+
+    def c_pool():
+        return [c for c in elems if c not in cs
+                and all(in_set(A, model, b, c) for b in bs)]
+
+    def pick(pool, opposite, pair_in):
+        if scorer == "random":
+            return pool[next(rng) % len(pool)]
+        best, best_score = None, -1
+        for g in pool:
+            score = sum(1 for x in opposite if pair_in(g, x)
+                        and (scorer == "pool_size" or A.contains(x)))
+            if score > best_score:
+                best, best_score = g, score
+        return best
+
+    for _ in range(k):
+        pool = b_pool()
+        if not pool:
+            return tuple(bs), tuple(cs), False
+        bs.append(pick(pool, c_pool(), lambda b, c: in_set(A, model, b, c)))
+        pool = c_pool()
+        if not pool:
+            return tuple(bs), tuple(cs), False
+        cs.append(pick(pool, b_pool(), lambda c, b: in_set(A, model, b, c)))
+    return tuple(bs), tuple(cs), True
+
+
 def brute_ladder_exists(A, model, k):
     """Any ladder of length exactly k (full iff-pattern), by enumeration."""
     elems = operand_elements(model)

@@ -302,6 +302,8 @@ class TestRunner:
         ("growth", "--model", "zwindow:256:128", "--set", "multiples(2)", "--k-max", "3",
          "--budget", "-1"),
         ("syndetic", "--model", "zmod:6", "--set", "multiples(2)", "--t-max", "-1"),
+        ("defwitness", "--model", "zwindow:64:32", "--set", "pow2", "--family", "aps",
+         "--n", "2", "--step-max", "0"),
     ], ids=lambda argv: f"{argv[0]}{argv[-2]}")
     def test_negative_limit_is_an_error(self, capsys, argv):
         code, out = run_cli(capsys, *argv)

@@ -205,3 +205,15 @@ def test_negative_or_float_operand_is_rejected(bad):
         for side in ("theta1", "theta2"):
             bent = replace(good, **{side: replace(getattr(good, side), **{field: bad})})
             assert verify_definable_witness(bent, A, model) is False, bent
+
+
+def test_upgrade_without_its_certificate_is_false():
+    model = build_model({"kind": "zwindow", "M": 100, "L": 50})
+    A = DenseSet.from_members(model, range(100))
+    square, ladder = SquareWitness((0,), (0,)), LadderCertificate((0,), (0,))
+    assert verify_upgrade(UpgradeResult("square", (0,), square, None), A, model)
+    for res in (UpgradeResult("square", (0,), None, None),
+                UpgradeResult("ladder", (0,), None, None),
+                UpgradeResult("square", (0,), ladder, None),
+                UpgradeResult("ladder", (0,), None, square)):
+        assert verify_upgrade(res, A, model) is False, res

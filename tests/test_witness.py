@@ -10,6 +10,7 @@ from sumcore import (
     DenseSet,
     FamilyDescriptor,
     InvalidInput,
+    LadderCertificate,
     ModelMismatch,
     Multiples,
     NotFound,
@@ -18,6 +19,7 @@ from sumcore import (
     Stuck,
     Threshold,
     TriangularWitness,
+    UpgradeResult,
     build_model,
     cyclic_table,
     definable_witness_search,
@@ -26,9 +28,11 @@ from sumcore import (
     generate_set,
     greedy_back_and_forth,
     growth_curve,
+    max_ladder,
     parse_set_spec,
     ramsey_upgrade,
     verify_definable_witness,
+    verify_ladder,
     verify_square_witness,
     verify_triangular_witness,
     verify_upgrade,
@@ -36,9 +40,11 @@ from sumcore import (
 
 from sumcore import witness
 from sumcore.search import Budget
+from sumcore.setspec import splitmix_stream
 from sumcore.witness import _ANCHOR_LIMIT, _anchor_square_exists
 
-from .oracles import brute_square, power_quadruple_solutions
+from .oracles import brute_square, greedy_square, power_quadruple_solutions
+from .test_ladder import s3
 
 
 def zw(M, L):
@@ -297,6 +303,18 @@ class TestTriangularWitness:
         assert not verify_triangular_witness(TriangularWitness(b, bad_c), A, m)
 
 
+@st.composite
+def small_set(draw):
+    """Any set over a ZWindow with M <= 40, Z_n with n <= 12, or S_3."""
+    kind = draw(st.sampled_from(["zwindow", "zmod", "s3"]))
+    if kind == "zwindow":
+        M = draw(st.integers(4, 40))
+        m = zw(M, draw(st.integers(2, M // 2)))
+    else:
+        m = zn(draw(st.integers(1, 12))) if kind == "zmod" else s3()
+    return m, DenseSet(m, draw(st.integers(0, (1 << m.carrier_size) - 1)))
+
+
 class TestGreedy:
     def test_evens_succeeds(self):
         m = zw(100, 50)
@@ -326,6 +344,21 @@ class TestGreedy:
             assert a == b
             if isinstance(a, SquareWitness):
                 assert verify_square_witness(a, A, m)
+
+    @given(small_set(), st.integers(1, 4),
+           st.sampled_from(["pool_size", "density_weighted", "random"]),
+           st.integers(0, 3))
+    @settings(max_examples=200, deadline=None)
+    def test_scorers_match_scalar_oracle(self, instance, k, scorer, seed):
+        m, A = instance
+        got = greedy_back_and_forth(A, m, k, scorer=scorer, seed=seed)
+        bs, cs, complete = greedy_square(A, m, k, scorer, splitmix_stream(seed))
+        assert got == (SquareWitness(bs, cs) if complete else Stuck(bs, cs))
+
+    def test_unknown_scorer(self):
+        m = zw(100, 50)
+        with pytest.raises(ValueError, match="unknown scorer 'bogus'"):
+            greedy_back_and_forth(generate_set(m, Multiples(2)), m, 2, scorer="bogus")
 
 
 class TestRamseyUpgrade:
@@ -422,6 +455,14 @@ class TestDefinableWitness:
         with pytest.raises(ModelMismatch):
             definable_witness_search(A, m, "intervals", 2)
 
+    @pytest.mark.parametrize("step_max", [0, -3])
+    def test_step_max_below_one_is_an_error(self, step_max):
+        # an empty family of progressions would be a definite "none"
+        m = zw(64, 32)
+        A = generate_set(m, PowersOf2())
+        with pytest.raises(ValueError, match="step_max"):
+            definable_witness_search(A, m, "aps", 2, step_max=step_max)
+
     def test_verify_checks_products(self):
         m = zw(100, 50)
         A = generate_set(m, Multiples(2))
@@ -486,3 +527,39 @@ class TestGrowthCurve:
         curve = growth_curve(A, m, 5)
         found = [p.found for p in curve]
         assert found == sorted(found, reverse=True)
+
+
+# A set with every other carrier element, over a model other than the one
+# each call is given: a ZWindow of another size, a Cayley group, and back.
+OTHER_MODEL = [(zw(64, 32), zw(128, 64)), (zn(8), zw(64, 32)), (zw(64, 32), zn(8))]
+SQUARE = SquareWitness((0,), (0,))
+TRIANGULAR = TriangularWitness((0,), (0,))
+INTERVALS = DefinableWitness("intervals", FamilyDescriptor(0, 1, 1),
+                             FamilyDescriptor(0, 1, 1))
+ON_A_MODEL = {
+    "square": lambda A, m: find_square_witness(A, m, 2),
+    "square-heuristic": lambda A, m: find_square_witness(A, m, 2, mode="heuristic"),
+    "triangular": lambda A, m: find_triangular_witness(A, m, 2),
+    "triangular-scorer": lambda A, m: find_triangular_witness(A, m, 2, scorer="pool_size"),
+    "greedy": lambda A, m: greedy_back_and_forth(A, m, 2),
+    "growth": lambda A, m: growth_curve(A, m, 2),
+    "ladder": lambda A, m: max_ladder(A, m, 2),
+    "definable": lambda A, m: definable_witness_search(A, m, "intervals", 1),
+    "upgrade": lambda A, m: ramsey_upgrade(TRIANGULAR, A, m),
+    "verify-square": lambda A, m: verify_square_witness(SQUARE, A, m),
+    "verify-triangular": lambda A, m: verify_triangular_witness(TRIANGULAR, A, m),
+    "verify-ladder": lambda A, m: verify_ladder(LadderCertificate((0,), (0,)), A, m),
+    "verify-definable": lambda A, m: verify_definable_witness(INTERVALS, A, m),
+    "verify-upgrade": lambda A, m: verify_upgrade(
+        UpgradeResult("square", (0,), SQUARE, None), A, m),
+}
+
+
+@pytest.mark.parametrize("models", OTHER_MODEL,
+                         ids=["zwindow-zwindow", "zmod-zwindow", "zwindow-zmod"])
+@pytest.mark.parametrize("call", ON_A_MODEL.values(), ids=ON_A_MODEL.keys())
+def test_set_from_another_model_is_refused(models, call):
+    own, other = models
+    A = DenseSet.from_members(own, range(0, own.carrier_size, 2))
+    with pytest.raises(ModelMismatch):
+        call(A, other)

@@ -321,7 +321,12 @@ def _report_error(exc):
 
 
 def main(argv=None):
-    args = make_parser().parse_args(argv)
+    parser = make_parser()
+    args = parser.parse_args(argv)
+    if args.command == "defwitness" and args.family == "intervals" \
+            and args.step_max is not None:
+        # intervals have step 1: the family never reads --step-max
+        parser.error("argument --step-max: not allowed with --family intervals")
     try:
         return _run(args)
     except (SumcoreError, ValueError, OSError) as exc:

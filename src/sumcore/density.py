@@ -17,6 +17,7 @@ so the two outcomes are mutually exclusive and machine-checkable.  All
 densities are exact rationals; no floating point is involved.
 """
 
+import operator
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -165,8 +166,21 @@ def _sparse(cnt, length, alpha, top):
     return 2 * cnt * ad < an * length
 
 
+def _well_typed(alpha, *ints):
+    """alpha is a Fraction and every other field an integer."""
+    try:
+        for x in ints:
+            operator.index(x)
+    except TypeError:
+        return False
+    return isinstance(alpha, Fraction)
+
+
 def verify_good_point(gp: GoodPoint, A: DenseSet) -> bool:
-    """Recheck the prefix-density invariant of a good point from the bitset."""
+    """Recheck the prefix-density invariant of a good point from the bitset;
+    False on a malformed one."""
+    if not _well_typed(gp.alpha, gp.x, gp.horizon, *gp.interval):
+        return False
     M = A.model.carrier_size
     if gp.x + gp.horizon > M:
         raise ModelMismatch("good point horizon leaves the carrier")
@@ -181,9 +195,12 @@ def verify_good_point(gp: GoodPoint, A: DenseSet) -> bool:
 
 
 def verify_density_certificate(cert: PartitionCertificate, A: DenseSet) -> bool:
-    """Recheck every PartitionCertificate invariant against A's bitset."""
+    """Recheck every PartitionCertificate invariant against A's bitset;
+    False on a malformed certificate."""
     if cert.carrier_size != A.model.carrier_size:
         raise ModelMismatch("certificate built over a different carrier")
+    if not _well_typed(cert.alpha, cert.horizon, *cert.interval):
+        return False
     a, b = cert.interval
     M = A.model.carrier_size
     if not (0 <= a < b <= M):
@@ -191,13 +208,13 @@ def verify_density_certificate(cert: PartitionCertificate, A: DenseSet) -> bool:
     cuts = cert.cuts
     if len(cuts) < 2 or cuts[0] != a or cuts[-1] != b:
         return False
-    at = np.asarray(cuts)  # int64; float or object when a cut is not an int
-    if not (np.diff(at) > 0).all():
+    at = np.asarray(cuts)  # int64 unless some cut is not an int64
+    if at.dtype.kind != "i" or not (np.diff(at) > 0).all():
         return False
     if len(cert.block_counts) != len(cuts) - 1:
         return False
     p = A.prefix_counts()
-    pc = p[at]  # a cut that is not an integer raises IndexError here
+    pc = p[at]
     cnt = np.diff(pc)
     if list(cert.block_counts) != cnt.tolist():
         return False

@@ -18,8 +18,10 @@ and triangular searches each give the children of a node (a tuple of
 chosen operands with its candidate pools) to ``search.preorder``, the one
 depth-first walk, and take its first complete node; both spend the one
 node budget, ``search.Budget``.  On sparse ZWindow sets an anchor-side
-walk over the differences of A decides first whether any square witness
-exists (``_anchor_square_exists``).
+walk over the members of A decides first whether any witness exists: over
+the differences of A for squares (``_anchor_square_exists``), over the
+shifts of A that hold the sums of row 1 for triangular witnesses
+(``_anchor_triangular_exists``).
 Searches and verifiers read b*c in A through one ``Relation``, built from
 (A, model), so a set from another model raises ``ModelMismatch``; each
 verifier ends in its one pattern check, ``Relation.certifies``.  Only the
@@ -27,7 +29,7 @@ definable search, which runs on ZWindows alone, inlines its shifts.
 """
 
 import operator
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import islice
 
@@ -110,9 +112,17 @@ class UpgradeResult:
 
 # --- square witnesses ---------------------------------------------------------
 
-# find_square_witness asks the anchor side first on a ZWindow with at most
-# this many members below 2L - 1 (measured; see the README's performance notes)
+# the square and triangular searches ask the anchor side first on a ZWindow
+# with at most this many members below 2L - 1 (measured; see the README's
+# performance notes)
 _ANCHOR_LIMIT = 256
+
+
+def _anchor_side(A: DenseSet, rel: Relation):
+    """A lives on a ZWindow and has at most ``_ANCHOR_LIMIT`` members below
+    2L - 1, where every product of two operands lies."""
+    return isinstance(A.model, ZWindow) \
+        and (A.bits & ((1 << (2 * rel.bound - 1)) - 1)).bit_count() <= _ANCHOR_LIMIT
 
 
 def _anchor_square_exists(A: DenseSet, k: int, bud: Budget):
@@ -166,6 +176,59 @@ def _anchor_square_exists(A: DenseSet, k: int, bud: Budget):
     return None if bud.exhausted else False
 
 
+def _anchor_triangular_exists(A: DenseSet, m: int, bud: Budget):
+    """Whether a ZWindow set A holds a triangular witness of size m, decided
+    from the members of A below 2L - 1: True or False, or None when ``bud``
+    runs out first.
+
+    Normalize by t = b1: u_i = b_i - t and v_j = c_j + t, so u_i + v_j =
+    b_i + c_j, u1 = 0 and every v_j lies in A (row 1).  The walk chooses
+    v_m, v_(m-1), ..., v1 as distinct members, one node per tried v, and
+    keeps the nested pools Q_i = {u : u + v_j in A for all j >= i}, so
+    Q1 ⊆ ... ⊆ Qm and 0 is in Q1.  Every c_j in [0, L) bounds t to
+    [max v - L + 1, min v], and every b_i in [0, L) puts u_i in
+    W_t = [-t, L - 1 - t].  By Hall's theorem over nested pools, distinct
+    u_i in Q_i ∩ W_t with u1 = 0 exist iff |Q_j ∩ W_t| >= j for every j.
+    Sliding W_t right until its left end meets a member of Qm loses no
+    member of any pool, so the t's worth testing are the least one and
+    -q for the q in Qm.  A branch is cut when no t passes for the levels
+    chosen so far: pools only shrink and the t-range only narrows.
+    """
+    L = A.model.operand_bound
+    members = np.flatnonzero(A.to_numpy()[:2 * L - 1]).tolist()
+    in_A = set(members)
+
+    def hall(pools, lo, hi):
+        """Some t in [lo, hi] leaves |Q ∩ W_t| >= level on every pool."""
+        top = pools[0]
+        ts = [lo] + [-q for q in top[bisect_left(top, -hi):bisect_left(top, -lo)]]
+        return any(all(bisect_right(p, L - 1 - t) - bisect_left(p, -t) >= m - j
+                       for j, p in enumerate(pools)) for t in ts)
+
+    def children(node):
+        """Members v not chosen yet that keep the t-range non-empty."""
+        vs, pools, lo, hi = node
+        level = m - len(vs)
+        for v in members[bisect_left(members, lo):bisect_right(members, hi + L - 1)]:
+            if v in vs:
+                continue
+            if not bud.spend():
+                return
+            nlo, nhi = max(lo, v - L + 1), min(hi, v)
+            # u in W_t for a t of the range: [-nhi, L - 1 - nlo] bounds each pool
+            if pools:
+                pool = [q for q in pools[-1] if q + v in in_A and -nhi <= q <= L - 1 - nlo]
+            else:
+                pool = [a - v for a in members if -nhi <= a - v <= L - 1 - nlo]
+            if len(pool) >= level and hall(pools + (pool,), nlo, nhi):
+                yield vs + (v,), pools + (pool,), nlo, nhi
+
+    for vs, _, _, _ in preorder(((), (), 0, L - 1), children):
+        if len(vs) == m:
+            return True
+    return None if bud.exhausted else False
+
+
 def find_square_witness(A: DenseSet, model, k: int, mode="exact", budget=None):
     """Search for B, C of size k with B*C inside A.
 
@@ -202,9 +265,7 @@ def find_square_witness(A: DenseSet, model, k: int, mode="exact", budget=None):
     domain = rel.domain
     if domain.bit_count() < k:
         return NotFound(exhaustive=True)
-    if isinstance(model, ZWindow) \
-            and (A.bits & ((1 << (2 * rel.bound - 1)) - 1)).bit_count() <= _ANCHOR_LIMIT \
-            and _anchor_square_exists(A, k, Budget(budget)) is False:
+    if _anchor_side(A, rel) and _anchor_square_exists(A, k, Budget(budget)) is False:
         return NotFound(exhaustive=True)
 
     def children(node):
@@ -245,8 +306,16 @@ def find_triangular_witness(A: DenseSet, model, m: int, scorer=None, budget=None
     exact backtracking search: the b's are chosen first, tracking the
     nested pools P_j = ∩_{i<=j} {c : b_i*c in A}; by a Hall argument over
     nested pools, distinct c's exist iff |P_j| >= m - j for every j.  The
-    b-phase keeps that condition and the c-phase yields only the c's that
-    keep it, so the c-phase never backtracks: only the budget stops it.
+    b-phase keeps that condition, so the c's are then assigned directly,
+    each the least one that keeps it: only the budget stops that.
+
+    On a ZWindow with at most ``_ANCHOR_LIMIT`` members below 2L - 1, the
+    exact search first asks the anchor side (``_anchor_triangular_exists``),
+    whose cost grows with those members instead of with L.  Its "none" is
+    the answer, ``NotFound(exhaustive=True)``; on "exists", or when it runs
+    out of budget, the search above runs under a budget of its own, so
+    every other answer, the witness included, is the one the search alone
+    gives.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
@@ -259,45 +328,48 @@ def find_triangular_witness(A: DenseSet, model, m: int, scorer=None, budget=None
 
     rel = Relation(A, model)
     domain = rel.domain
+    if _anchor_side(A, rel) and _anchor_triangular_exists(A, m, Budget(budget)) is False:
+        return NotFound(exhaustive=True)
 
     def children(node):
-        """All m b's first, then the c's; used_b, used_c = chosen masks;
-        in the c-phase, slack[t] = |P_t minus used_c| - (m - t)."""
-        bs, pools, used_b, cs, used_c, slack = node
-        i, j = len(bs), len(cs)
-        if i < m:
-            prev = pools[-1] if pools else domain
-            cand = domain & ~used_b
-            if i > 0:
-                cand &= rel.meeting(prev)
-            for b in iter_bits(cand):
-                if not bud.spend():
-                    return
-                np_ = prev & rel.left(b)
-                if np_.bit_count() >= m - i:
-                    yield bs + (b,), pools + (np_,), used_b | (1 << b), cs, used_c, None
-            return
-        if j == 0:  # the b-phase kept every |P_t| >= m - t; slack[m] = 0 ends scans
-            slack = tuple(p.bit_count() - m + t for t, p in enumerate(pools)) + (0,)
-        # Hall feasibility over the remaining nested pools: every slack of
-        # this node is >= 0, and taking c costs one slack on each P_t that
-        # holds c, a prefix of the pools after j.  A child with a negative
-        # slack is never yielded: it would have no children.
-        tight = slack.index(0, j + 1)
-        first_tight = pools[tight] if tight < m else 0
-        for c in iter_bits(pools[j] & ~used_c):
+        """Distinct b's; pools[-1] = P of the b's so far, used = their mask."""
+        bs, pools, used = node
+        i = len(bs)
+        prev = pools[-1] if pools else domain
+        cand = domain & ~used
+        if i > 0:
+            cand &= rel.meeting(prev)
+        for b in iter_bits(cand):
             if not bud.spend():
                 return
-            if first_tight >> c & 1:
-                continue
-            held = bisect_left(pools, True, j + 1, m, key=lambda p: not p >> c & 1)
-            child = slack[:j + 1] + tuple(s - 1 for s in slack[j + 1:held]) + slack[held:]
-            yield bs, pools, used_b, cs + (c,), used_c | (1 << c), child
+            np_ = prev & rel.left(b)
+            if np_.bit_count() >= m - i:
+                yield bs + (b,), pools + (np_,), used | (1 << b)
 
-    for bs, _, _, cs, _, _ in preorder(((), (), 0, (), 0, None), children):
-        if len(cs) == m:
-            return TriangularWitness(bs, cs)
-    return NotFound(exhaustive=not bud.exhausted)
+    for bs, pools, _ in preorder(((), (), 0), children):
+        if len(bs) == m:
+            break
+    else:
+        return NotFound(exhaustive=not bud.exhausted)
+    # Hall over the nested pools left: slack[t] = |P_t minus used| - (m - t)
+    # stays >= 0, and taking c costs one slack on each P_t after j that holds
+    # c, a prefix of them; so c_j is the least free c outside the first pool
+    # with no slack (slack[m] = 0 stands for none).
+    slack = [p.bit_count() - m + t for t, p in enumerate(pools)] + [0]
+    cs, used = [], 0
+    for j, pool in enumerate(pools):
+        free = pool & ~used
+        tight = slack.index(0, j + 1)
+        ok = free & ~pools[tight] if tight < m else free
+        c = (ok & -ok).bit_length() - 1
+        # one node per free c up to the one taken, as a scan of them would
+        if not bud.spend((free & ((2 << c) - 1)).bit_count()):
+            return NotFound(exhaustive=False)
+        held = bisect_left(pools, True, j + 1, m, key=lambda p: not p >> c & 1)
+        slack[j + 1:held] = [s - 1 for s in slack[j + 1:held]]
+        cs.append(c)
+        used |= 1 << c
+    return TriangularWitness(bs, tuple(cs))
 
 
 def verify_triangular_witness(w: TriangularWitness, A: DenseSet, model) -> bool:

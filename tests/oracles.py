@@ -97,6 +97,25 @@ def brute_square_exists(A, model, k):
     return brute_square(A, model, k) is not None
 
 
+def brute_triangular_exists(A, model, m):
+    """Whether distinct b_1..b_m and distinct c_1..c_m with b_i*c_j in A for
+    every i <= j exist: every b sequence in turn, then every choice of
+    distinct c's from the pools it leaves, c_m first."""
+    elems = operand_elements(model)
+    left = {b: {c for c in elems if in_set(A, model, b, c)} for b in elems}
+
+    def distinct(pools, used):
+        return not pools or any(c not in used and distinct(pools[1:], used | {c})
+                                for c in pools[0])
+
+    for bs in itertools.permutations(elems, m):
+        # pools[j] = {c : b_i*c in A for every i <= j}
+        pools = list(itertools.accumulate((left[b] for b in bs), set.intersection))
+        if distinct(pools[::-1], frozenset()):
+            return True
+    return False
+
+
 def greedy_square(A, model, k, scorer, rng=None):
     """The alternating greedy construction, one product at a time:
     (b's, c's, complete), complete False when a pool emptied first.

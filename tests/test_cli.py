@@ -288,6 +288,9 @@ class TestRunner:
         ("find-point", "--model", "zwindow:100:50", "--set", "pow2", "--alpha", "1/2",
          "--N", "5", "--out", "csv"),
         ("gen", "--model", "zwindow:64:32", "--set", "pow2", "--out", "csv"),
+        # intervals have step 1: that family never reads --step-max
+        ("defwitness", "--model", "zwindow:64:32", "--set", "multiples(2)",
+         "--family", "intervals", "--n", "2", "--step-max", "0"),
     ], ids=lambda argv: f"{argv[0]}{argv[-2]}")
     def test_ignored_option_is_rejected(self, capsys, argv):
         # a usage error, as for any malformed argv; nothing is run

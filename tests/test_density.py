@@ -248,11 +248,28 @@ class TestVerifierMutations:
         short = replace(cert, block_counts=cert.block_counts[:-1])
         assert verify_density_certificate(short, A) is False
 
-    def test_float_cut_raises_index_error(self):
+    def test_float_or_string_cut_is_rejected(self):
         cert, A = self.pow2_certificate()
-        for value in (float(cert.cuts[1]), cert.cuts[1] - 0.5):
+        for value in (float(cert.cuts[1]), cert.cuts[1] - 0.5, str(cert.cuts[1])):
             bad = self.with_cut(cert, 1, value)
-            assert _answer(verify_density_certificate, bad, A) == "IndexError"
+            assert _answer(verify_density_certificate, bad, A) is False
+
+    @pytest.mark.parametrize("field, value", [
+        ("alpha", 0.5), ("alpha", "1/2"), ("horizon", 64.0), ("interval", (0.0, 4096)),
+    ])
+    def test_malformed_field_is_rejected(self, field, value):
+        cert, A = self.pow2_certificate()
+        assert _answer(verify_density_certificate, replace(cert, **{field: value}), A) is False
+
+    @pytest.mark.parametrize("field, value", [
+        ("x", 1.0), ("alpha", "1/2"), ("alpha", 0.5), ("horizon", 64.0),
+        ("interval", (0, 4096.0)),
+    ])
+    def test_malformed_good_point_is_rejected(self, field, value):
+        A = generate_set(zw(4096, 2048), PowersOf2())
+        good = find_regular_point(A, (0, 4096), Fraction(1, 10 ** 30), 64)
+        assert verify_good_point(good, A) is True
+        assert _answer(verify_good_point, replace(good, **{field: value}), A) is False
 
     def test_cuts_out_of_order_or_range(self):
         cert, A = self.pow2_certificate()

@@ -41,9 +41,14 @@ from sumcore import (
 from sumcore import witness
 from sumcore.search import Budget
 from sumcore.setspec import splitmix_stream
-from sumcore.witness import _ANCHOR_LIMIT, _anchor_square_exists
+from sumcore.witness import _ANCHOR_LIMIT, _anchor_square_exists, _anchor_triangular_exists
 
-from .oracles import brute_square, greedy_square, power_quadruple_solutions
+from .oracles import (
+    brute_square,
+    brute_triangular_exists,
+    greedy_square,
+    power_quadruple_solutions,
+)
 from .test_ladder import s3
 
 
@@ -301,6 +306,109 @@ class TestTriangularWitness:
         assert verify_triangular_witness(TriangularWitness(b, c), A, m)
         bad_c = (0,) + c[1:]
         assert not verify_triangular_witness(TriangularWitness(b, bad_c), A, m)
+
+
+@st.composite
+def small_zwindow(draw):
+    """A ZWindow with M in [4, 24] and L <= 8, small enough for
+    ``brute_triangular_exists``, whose members are drawn with a probability
+    between 0.2 and 0.8."""
+    M = draw(st.integers(4, 24))
+    m = zw(M, draw(st.integers(2, min(M // 2, 8))))
+    density = draw(st.sampled_from([0.2, 0.35, 0.5, 0.65, 0.8]))
+    rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+    return m, DenseSet.from_members(m, [x for x in range(M) if rng.random() < density])
+
+
+class TestAnchorTriangular:
+    """The anchor-side triangular existence search, called directly and
+    through find_triangular_witness."""
+
+    # t-candidates drawn from the smallest pool instead of the largest miss
+    # this witness: b = (1, 3, 5, 0), c = (0, 5, 3, 1)
+    PINNED = (12, 6, [1, 2, 4, 6, 8, 9, 11], 4)
+
+    @given(small_zwindow(), st.integers(1, 4))
+    @settings(max_examples=200, deadline=None)
+    @example((zw(*PINNED[:2]), DenseSet.from_members(zw(*PINNED[:2]), PINNED[2])),
+             PINNED[3])
+    def test_verdict_matches_oracle(self, inst, k):
+        m, A = inst
+        want = brute_triangular_exists(A, m, k)
+        assert _anchor_triangular_exists(A, k, Budget(None)) is want
+        got = find_triangular_witness(A, m, k)
+        if want:
+            assert verify_triangular_witness(got, A, m)
+        else:
+            assert got == NotFound(exhaustive=True)
+
+    def test_pinned_witness(self):
+        M, L, members, k = self.PINNED
+        m = zw(M, L)
+        A = DenseSet.from_members(m, members)
+        assert verify_triangular_witness(TriangularWitness((1, 3, 5, 0), (0, 5, 3, 1)), A, m)
+        assert _anchor_triangular_exists(A, k, Budget(None)) is True
+        assert _anchor_triangular_exists(A, k + 1, Budget(None)) is False
+
+    def test_budget_counts_tried_members(self):
+        m = zw(1 << 12, 1 << 11)
+        A = generate_set(m, PowersOf2())
+        bud = Budget(None)
+        assert _anchor_triangular_exists(A, 3, bud) is False
+        assert bud.spent == 144
+        assert _anchor_triangular_exists(A, 3, Budget(144)) is False
+        assert _anchor_triangular_exists(A, 3, Budget(143)) is None
+        assert _anchor_triangular_exists(A, 3, Budget(0)) is None
+
+    def test_pow2_refuted_within_budget(self):
+        # the search alone runs out of these 2000 nodes at its first level
+        m = zw(1 << 16, 1 << 15)
+        A = generate_set(m, PowersOf2())
+        assert find_triangular_witness(A, m, 3, budget=2000) == NotFound(exhaustive=True)
+        t0 = time.time()
+        m = zw(1 << 20, 1 << 19)
+        A = generate_set(m, parse_set_spec("translate(pow2,37)"))
+        assert find_triangular_witness(A, m, 3) == NotFound(exhaustive=True)
+        assert time.time() - t0 < 10
+
+    @pytest.mark.parametrize("M, L, members, k, budget, want", [
+        # the anchor walk needs 40 nodes to find a witness, the search 13
+        (18, 9, [1, 4, 6, 9, 12, 13, 14], 4, 13,
+         TriangularWitness((1, 4, 6, 5), (3, 5, 0, 8))),
+        (18, 9, [1, 4, 6, 9, 12, 13, 14], 4, 12, NotFound(exhaustive=False)),
+        # the anchor walk needs 45 nodes to refute, the search 24
+        (24, 6, [0, 1, 3, 4, 5, 10, 14, 15, 16, 18, 19, 20, 21, 22, 23], 4, 24,
+         NotFound(exhaustive=True)),
+    ])
+    def test_small_budget_gives_search_answer(self, monkeypatch, M, L, members, k,
+                                              budget, want):
+        m = zw(M, L)
+        A = DenseSet.from_members(m, members)
+        assert _anchor_triangular_exists(A, k, Budget(budget)) is None
+        assert find_triangular_witness(A, m, k, budget=budget) == want
+        monkeypatch.setattr(witness, "_ANCHOR_LIMIT", -1)  # the search alone
+        assert find_triangular_witness(A, m, k, budget=budget) == want
+
+    def test_route_taken_only_on_sparse_zwindows(self, monkeypatch):
+        calls = []
+
+        def spy(A, k, bud):
+            calls.append(A.model)
+            return _anchor_triangular_exists(A, k, bud)
+
+        monkeypatch.setattr(witness, "_anchor_triangular_exists", spy)
+        sparse = zw(1 << 12, 1 << 11)
+        assert find_triangular_witness(generate_set(sparse, PowersOf2()), sparse, 3) \
+            == NotFound(exhaustive=True)
+        dense = zw(4096, 2048)
+        assert isinstance(find_triangular_witness(generate_set(dense, Multiples(3)), dense, 8),
+                          TriangularWitness)
+        group = zn(16)
+        assert isinstance(find_triangular_witness(generate_set(group, Multiples(4)), group, 4),
+                          TriangularWitness)
+        assert find_triangular_witness(generate_set(sparse, PowersOf2()), sparse, 3,
+                                       scorer="pool_size") == NotFound(exhaustive=False)
+        assert calls == [sparse]
 
 
 @st.composite

@@ -24,8 +24,8 @@ shifts of A that hold the sums of row 1 for triangular witnesses
 (``_anchor_triangular_exists``).
 Searches and verifiers read b*c in A through one ``Relation``, built from
 (A, model), so a set from another model raises ``ModelMismatch``; each
-verifier ends in its one pattern check, ``Relation.certifies``.  Only the
-definable search, which runs on ZWindows alone, inlines its shifts.
+verifier ends in its one pattern check, ``Relation.certifies``.  The
+definable search ANDs slices of A's bool view, one pass per step pair.
 """
 
 import operator
@@ -498,75 +498,74 @@ def definable_witness_search(A: DenseSet, model, family, n: int,
 
     ``family`` is ``"intervals"`` (contiguous runs) or ``"aps"``
     (arithmetic progressions with step up to ``step_max``).  Both sides
-    use length exactly n; parameters are scanned in canonical order
-    (step1, start1, step2, start2 ascending) so the first hit is
-    deterministic.  Only ZWindow models are supported: the families are
-    arithmetic.
+    use length exactly n; the witness is the first in canonical order
+    (step1, start1, step2, start2).  Only ZWindow models are supported.
+
+    With a = A's bools below 2L − 1, G[t] = AND over i < n of a[t + i·d1]
+    and T[t] = AND over j < n of G[t + j·d2]; (s1, s2) is a witness iff
+    T[s1 + s2] and both progressions lie in [0, L).  The budget charges
+    one node per G (per d1) and one per T (per (d1, d2)).
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     if not isinstance(model, ZWindow):
         raise ModelMismatch("definable families require a ZWindow model")
     if family == "intervals":
-        steps = [1]
+        if step_max is not None:
+            raise ValueError("step_max applies to family 'aps' only")
+        step_max = 1
     elif family == "aps":
         if step_max is None:
             step_max = 64
         if step_max < 1:
             raise ValueError(f"step_max must be >= 1, got {step_max}")
-        steps = list(range(1, step_max + 1))
     else:
         raise ValueError(f"unknown family {family!r}")
 
     bud = Budget(budget)
-    rel = Relation(A, model)
-    L, domain = rel.bound, rel.domain
-
-    # Parameters scan in canonical order (step1, start1, step2, start2).
-    # For each left progression, the survivors V = ∩_i (A - (s1 + i*d1))
-    # are computed once as a bitset (rel.left(x) is the shift A >> x,
-    # inlined in this inner loop); the right progression must start
-    # inside V, which keeps the inner scan near-linear.
+    L = Relation(A, model).bound
+    # the steps whose progressions fit in [0, L); with n = 1 all give the same sets
+    steps = range(1, min(step_max, (L - 1) // (n - 1) if n > 1 else 1) + 1)
+    a = A.to_numpy()[:2 * L - 1]  # every sum of two operands; M >= 2L
     for d1 in steps:
-        span1 = (n - 1) * d1
-        if span1 >= L:
-            break
-        for s1 in range(L - span1):
+        if not bud.spend():
+            return NotFound(exhaustive=False)
+        G = _and_of_shifts(a, d1, n)
+        if not G.any():
+            continue
+        hits = []  # (s1, d2, s2): canonical is the least s1, then d2
+        for d2 in steps:
             if not bud.spend():
                 return NotFound(exhaustive=False)
-            V = domain
-            for i in range(n):
-                V &= A.bits >> (s1 + i * d1)
-                if V.bit_count() < n:
+            T = _and_of_shifts(G, d2, n)
+            t = int(T.argmax())  # the least s1 + s2; t < len(T) keeps s1 in range
+            if T[t]:
+                s1 = max(0, t - (L - 1 - (n - 1) * d2))  # s2 <= L - 1 - (n - 1)·d2
+                hits.append((s1, d2, t - s1))
+                if s1 == 0:
                     break
-            if V.bit_count() < n:
-                continue
-            for d2 in steps:
-                span2 = (n - 1) * d2
-                if span2 >= L:
-                    break
-                for s2 in iter_bits(V):
-                    if s2 + span2 >= L:
-                        break
-                    if not bud.spend():
-                        return NotFound(exhaustive=False)
-                    if all((V >> (s2 + j * d2)) & 1 for j in range(1, n)):
-                        return DefinableWitness(
-                            family,
-                            FamilyDescriptor(s1, d1, n),
-                            FamilyDescriptor(s2, d2, n),
-                        )
+        if hits:
+            s1, d2, s2 = min(hits)
+            return DefinableWitness(family, FamilyDescriptor(s1, d1, n),
+                                    FamilyDescriptor(s2, d2, n))
     return NotFound(exhaustive=True)
+
+
+def _and_of_shifts(x, d, n):
+    """out[t] = x[t] & x[t + d] & … & x[t + (n − 1)·d] wherever all exist."""
+    out = x[:len(x) - (n - 1) * d].copy()
+    for i in range(1, n):
+        out &= x[i * d:i * d + len(out)]
+    return out
 
 
 def verify_definable_witness(w: DefinableWitness, A: DenseSet, model) -> bool:
     if not isinstance(model, ZWindow):
         raise ModelMismatch("definable witnesses live over ZWindow models")
     rel = Relation(A, model)
-    t1, t2 = w.theta1, w.theta2
     if w.family not in ("intervals", "aps"):
         return False
-    for t in (t1, t2):
+    for t in (w.theta1, w.theta2):
         try:
             start, step, length = map(operator.index, (t.start, t.step, t.length))
         except TypeError:
@@ -576,7 +575,7 @@ def verify_definable_witness(w: DefinableWitness, A: DenseSet, model) -> bool:
             return False
         if start < 0 or start + (length - 1) * step >= rel.bound:
             return False
-    return rel.certifies(t1.elements(), t2.elements(), "all")
+    return rel.certifies(w.set1, w.set2, "all")
 
 
 # --- growth curve ---------------------------------------------------------------

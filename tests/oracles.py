@@ -7,6 +7,11 @@ library is meaningful.  Oracles are only run at small scale.
 
 import itertools
 
+from sumcore import DefinableWitness, DenseSet, FamilyDescriptor, NotFound, ZWindow
+from sumcore.errors import ModelMismatch
+from sumcore.model import Relation, iter_bits
+from sumcore.search import Budget
+
 
 def operand_elements(model):
     domain = model.operand_mask
@@ -53,6 +58,76 @@ def brute_definable(w, A, model):
     if not all(is_operand(model, x) for x in xs + ys):
         return False
     return all(in_set(A, model, x, y) for x in xs for y in ys)
+
+
+def scan_definable_search(A: DenseSet, model, family, n: int,
+                          budget=None, step_max=None):
+    """The definable search as it was before whole-array passes: a scan of
+    every (step1, start1) pair, one bitset of survivors each, then of every
+    (step2, start2) inside it.  Unbudgeted, the library must return its
+    answer.
+
+    ``family`` is ``"intervals"`` (contiguous runs) or ``"aps"``
+    (arithmetic progressions with step up to ``step_max``).  Both sides
+    use length exactly n; parameters are scanned in canonical order
+    (step1, start1, step2, start2 ascending) so the first hit is
+    deterministic.  Only ZWindow models are supported: the families are
+    arithmetic.
+    """
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if not isinstance(model, ZWindow):
+        raise ModelMismatch("definable families require a ZWindow model")
+    if family == "intervals":
+        steps = [1]
+    elif family == "aps":
+        if step_max is None:
+            step_max = 64
+        if step_max < 1:
+            raise ValueError(f"step_max must be >= 1, got {step_max}")
+        steps = list(range(1, step_max + 1))
+    else:
+        raise ValueError(f"unknown family {family!r}")
+
+    bud = Budget(budget)
+    rel = Relation(A, model)
+    L, domain = rel.bound, rel.domain
+
+    # Parameters scan in canonical order (step1, start1, step2, start2).
+    # For each left progression, the survivors V = ∩_i (A - (s1 + i*d1))
+    # are computed once as a bitset (rel.left(x) is the shift A >> x,
+    # inlined in this inner loop); the right progression must start
+    # inside V, which keeps the inner scan near-linear.
+    for d1 in steps:
+        span1 = (n - 1) * d1
+        if span1 >= L:
+            break
+        for s1 in range(L - span1):
+            if not bud.spend():
+                return NotFound(exhaustive=False)
+            V = domain
+            for i in range(n):
+                V &= A.bits >> (s1 + i * d1)
+                if V.bit_count() < n:
+                    break
+            if V.bit_count() < n:
+                continue
+            for d2 in steps:
+                span2 = (n - 1) * d2
+                if span2 >= L:
+                    break
+                for s2 in iter_bits(V):
+                    if s2 + span2 >= L:
+                        break
+                    if not bud.spend():
+                        return NotFound(exhaustive=False)
+                    if all((V >> (s2 + j * d2)) & 1 for j in range(1, n)):
+                        return DefinableWitness(
+                            family,
+                            FamilyDescriptor(s1, d1, n),
+                            FamilyDescriptor(s2, d2, n),
+                        )
+    return NotFound(exhaustive=True)
 
 
 def brute_cover(cert, A, model):

@@ -48,6 +48,7 @@ from .oracles import (
     brute_triangular_exists,
     greedy_square,
     power_quadruple_solutions,
+    scan_definable_search,
 )
 from .test_ladder import s3
 
@@ -570,6 +571,69 @@ class TestDefinableWitness:
         A = generate_set(m, PowersOf2())
         with pytest.raises(ValueError, match="step_max"):
             definable_witness_search(A, m, "aps", 2, step_max=step_max)
+
+    def test_step_max_with_intervals_is_an_error(self):
+        # intervals have step 1; a step_max there would be silently ignored
+        m = zw(64, 32)
+        A = generate_set(m, Multiples(2))
+        for step_max in (0, 1, 8):
+            with pytest.raises(ValueError, match="step_max"):
+                definable_witness_search(A, m, "intervals", 2, step_max=step_max)
+
+    def test_only_the_steps_that_fit_are_tried(self):
+        # steps beyond (L - 1) / (n - 1) give no progression in [0, L)
+        m = zw(64, 32)
+        A = generate_set(m, PowersOf2())
+        for n in (1, 3):
+            assert definable_witness_search(A, m, "aps", n, step_max=10 ** 12) \
+                == scan_definable_search(A, m, "aps", n, step_max=31)
+
+    @staticmethod
+    def random_instance(rng):
+        L = rng.randint(2, 64)
+        m = zw(rng.randint(2 * L, 2 * L + 8), L)
+        p = rng.uniform(0.3, 0.9)
+        A = DenseSet.from_members(m, [x for x in range(m.carrier_size) if rng.random() < p])
+        family = rng.choice(["intervals", "aps"])
+        step_max = rng.randint(1, 8) if family == "aps" else None
+        return A, m, family, rng.randint(1, 4), step_max
+
+    def test_equals_scan_on_random_zwindows(self):
+        rng = random.Random(20261019)
+        found = 0
+        for _ in range(1200):
+            A, m, family, n, step_max = self.random_instance(rng)
+            res = definable_witness_search(A, m, family, n, step_max=step_max)
+            assert res == scan_definable_search(A, m, family, n, step_max=step_max), \
+                (A, m, family, n, step_max)
+            found += isinstance(res, DefinableWitness)
+        assert 0 < found < 1200
+
+    @pytest.mark.parametrize("spec", ["translate(pow2,37)", "bernoulli(1/8,5)"])
+    @pytest.mark.parametrize("family,n,step_max",
+                             [("intervals", 2, None), ("aps", 2, 16), ("aps", 3, 16),
+                              ("aps", 4, 8)])
+    def test_equals_scan_on_sparse_sets(self, spec, family, n, step_max):
+        m = zw(1 << 12, 1 << 11)
+        A = generate_set(m, parse_set_spec(spec))
+        assert definable_witness_search(A, m, family, n, step_max=step_max) \
+            == scan_definable_search(A, m, family, n, step_max=step_max)
+
+    def test_budget_gives_the_witness_or_non_exhaustive(self):
+        # one node per step1 pass and per (step1, step2) pass: at most
+        # s + s^2 for s steps, so every budget up to the full spend is run
+        rng = random.Random(12)
+        for _ in range(150):
+            A, m, family, n, step_max = self.random_instance(rng)
+            full = definable_witness_search(A, m, family, n, step_max=step_max)
+            s = step_max or 1
+            answers = [definable_witness_search(A, m, family, n, budget=b, step_max=step_max)
+                       for b in range(s + s * s + 2)]
+            first = answers.index(full)
+            assert answers[first:] == [full] * (len(answers) - first)
+            assert answers[:first] == [NotFound(exhaustive=False)] * first
+            if n - 1 < m.operand_bound:  # a progression fits
+                assert answers[0] == NotFound(exhaustive=False)
 
     def test_verify_checks_products(self):
         m = zw(100, 50)

@@ -8,16 +8,25 @@ subwindow with shifts drawn from a declared range.
 
 ``min_translate_cover`` solves minimum set cover exactly or
 approximately by the standard greedy rule.  The exact mode asks one
-decision question, "is there a cover of at most t translates?", for
-t = counting bound, counting bound + 1, ... below the greedy size; the
-first yes is the optimum, and the same question then fixes the
-lexicographically least optimal cover one translate at a time.  Either
-way the certificate records, for every core element, which translate
-covers it, so covers re-verify element by element.
+decision question, "do at most t of the allowed translates cover what
+is left?", for t = counting bound, counting bound + 1, ... below the
+greedy size with every shift allowed; the first yes is the optimum.
+The same question then fixes the lexicographically least optimal cover
+one translate at a time; for the candidate at position i of the sorted
+shifts it allows only the shifts above i, which gives the same answers
+(``_lex_min_cover`` says why).  The decision search indexes shifts by
+that position and keeps, for each core element, the bitmask of the
+shifts that cover it: it branches on the element with the fewest
+allowed shifts, bans each option from its later siblings' subtrees, and
+decides the last translate as one AND of masks.  Either way the
+certificate records, for every core element, which translate covers
+it, so covers re-verify element by element.
 """
 
 import operator
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import BadCore, ModelMismatch
 from .model import CayleyGroup, DenseSet, ZWindow, iter_bits, translate
@@ -120,69 +129,120 @@ def min_translate_cover(A: DenseSet, model, core=None, shifts=None,
     # the optimum is the least t with a cover of size t; the greedy cover
     # answers for its own size, and covers longer than t_max are
     # reported Infeasible, so no t beyond either is asked about
-    covers = {}
-    for g in order:
-        for e in iter_bits(sets[g]):
-            covers.setdefault(e, []).append(g)
+    if counting_lb > t_max:
+        return Infeasible(lower_bound=counting_lb, uncovered_element=None)
+    lo, hi = core
+    rows = [sets[g] >> lo for g in order]
+    masks = _shift_masks(rows, hi - lo)
+    uncovered = core_bits >> lo
+    every = (1 << len(order)) - 1
     t_star = len(greedy_cover)
     for t in range(counting_lb, min(t_star, t_max + 1)):
-        if _exists_cover(sets, covers, core_bits, 0, t):
+        if _exists_cover(rows, masks, uncovered, every, t):
             t_star = t
             break
     if t_star > t_max:
         return Infeasible(lower_bound=max(counting_lb, t_max + 1),
                           uncovered_element=None)
-    final = _lex_min_cover(order, sets, covers, core_bits, t_star)
-    return _certificate(final, sets, core, optimal=True, method="exact")
+    final = _lex_min_cover(rows, masks, uncovered, t_star)
+    return _certificate([order[i] for i in final], sets, core,
+                        optimal=True, method="exact")
 
 
-def _exists_cover(sets, covers, core_bits, covered, size_limit):
-    """Do at most size_limit more translates cover what is still uncovered?
-
-    Every core element lies in some translate.  Branches on the uncovered
-    element with the fewest covering translates; ``covers`` maps each
-    core element to those translates.
+def _shift_masks(rows, width):
+    """Transpose of ``rows``: for each core offset e < width, the bitset of
+    the shift indices i whose row holds e.  One numpy transpose of the
+    bit matrix instead of a Python loop over every (shift, element) pair.
     """
+    nbytes = (width + 7) // 8
+    raw = b"".join(r.to_bytes(nbytes, "little") for r in rows)
+    grid = np.unpackbits(np.frombuffer(raw, np.uint8).reshape(len(rows), nbytes),
+                         axis=1, count=width, bitorder="little")
+    packed = np.packbits(grid.T, axis=1, bitorder="little")
+    return [int.from_bytes(col.tobytes(), "little") for col in packed]
+
+
+def _exists_cover(rows, masks, uncovered, allowed, size_limit):
+    """Do at most size_limit of the allowed shifts cover ``uncovered``?
+
+    Shifts are indices into ``rows`` (each a bitset of core offsets) and
+    ``allowed`` is a bitset of them; ``masks[e]`` is the bitset of shifts
+    whose row holds e.  A node branches on the uncovered element with the
+    fewest allowed shifts, and its j-th option bans options 0..j-1 from
+    its subtree: a cover using one of them was searched by an earlier
+    sibling.  A node is pruned when the counting bound over its allowed
+    shifts exceeds its size limit; with one translate left, the answer is
+    whether one allowed shift lies in every uncovered element's mask.
+    """
+    def one_covers(uncovered, allowed):
+        """Does one allowed shift hold every uncovered element?"""
+        while uncovered:
+            low = uncovered & -uncovered
+            allowed &= masks[low.bit_length() - 1]
+            if not allowed:
+                return False
+            uncovered ^= low
+        return True
+
     def children(node):
-        covered, size_limit = node
-        if size_limit == 0:
+        uncovered, allowed, size_limit = node
+        if size_limit <= 1:
+            if size_limit and one_covers(uncovered, allowed):
+                yield 0, allowed, 0
             return
-        uncovered = core_bits & ~covered
-        if _bound(sets, uncovered) > size_limit:
-            return
-        options = None
-        for e in iter_bits(uncovered):
-            opts = covers[e]
-            if options is None or len(opts) < len(options):
-                options = opts
-                if len(opts) <= 1:
-                    break
-        for g in options:
-            yield covered | sets[g], size_limit - 1
+        meeting = 0
+        options, fewest = 0, None
+        rest = uncovered
+        while rest:
+            low = rest & -rest
+            opts = masks[low.bit_length() - 1] & allowed
+            meeting |= opts
+            n = opts.bit_count()
+            if fewest is None or n < fewest:
+                if not n:
+                    return
+                options, fewest = opts, n
+            rest ^= low
+        if size_limit > 2:
+            gain = max((rows[i] & uncovered).bit_count() for i in iter_bits(meeting))
+            if -(-uncovered.bit_count() // gain) > size_limit:
+                return
+        for i in iter_bits(options):
+            allowed ^= 1 << i
+            rest = uncovered & ~rows[i]
+            if size_limit > 2:
+                yield rest, allowed, size_limit - 1
+            elif one_covers(rest, allowed):
+                yield 0, allowed, 0
 
-    root = (covered, size_limit)
-    return any(node[0] == core_bits for node in preorder(root, children))
+    root = (uncovered, allowed, size_limit)
+    return any(not node[0] for node in preorder(root, children))
 
 
-def _lex_min_cover(order, sets, covers, core_bits, t_star):
-    """Lexicographically least cover of the optimal size t_star.
+def _lex_min_cover(rows, masks, uncovered, t_star):
+    """Indices of the lexicographically least cover of the optimal size
+    t_star.
 
     Each step fixes the least shift that still extends to a cover of
     size t_star.  The picks come out increasing (a smaller shift that
     extends later would have extended at the earlier step), so the scan
-    resumes after the last pick.
+    resumes after the last pick, and the question for candidate i allows
+    only the shifts above i.  That gives the same answers: if a
+    completion used an unchosen shift h below i, then h lies between two
+    earlier picks, or before the first one, or between the last pick and
+    i, and at that step h would have extended the chosen set too, so the
+    scan would have picked h.
     """
     chosen = []
-    covered = 0
+    every = (1 << len(rows)) - 1
     start = 0
-    while covered != core_bits:
-        for i in range(start, len(order)):
-            g = order[i]
-            if _exists_cover(sets, covers, core_bits, covered | sets[g],
+    while uncovered:
+        for i in range(start, len(rows)):
+            if _exists_cover(rows, masks, uncovered & ~rows[i], every >> (i + 1) << (i + 1),
                              t_star - len(chosen) - 1):
                 break
-        chosen.append(g)
-        covered |= sets[g]
+        chosen.append(i)
+        uncovered &= ~rows[i]
         start = i + 1
     return chosen
 

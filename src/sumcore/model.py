@@ -270,6 +270,10 @@ def translate(A: DenseSet, g: int) -> DenseSet:
     model = A.model
     n = model.carrier_size
     if isinstance(model, ZWindow):
+        if abs(g) >= n:
+            # slides A wholly off the window; shifting first would build
+            # an integer of |g| bits
+            return DenseSet(model, 0)
         if g >= 0:
             return DenseSet(model, (A.bits << g) & ((1 << n) - 1))
         return DenseSet(model, A.bits >> (-g))

@@ -7,10 +7,11 @@ library is meaningful.  Oracles are only run at small scale.
 
 import itertools
 
-from sumcore import DefinableWitness, DenseSet, FamilyDescriptor, NotFound, ZWindow
+from sumcore import DefinableWitness, DenseSet, FamilyDescriptor, Infeasible, NotFound, ZWindow
+from sumcore.cover import _bound, _certificate, _cover_problem
 from sumcore.errors import ModelMismatch
 from sumcore.model import Relation, iter_bits
-from sumcore.search import Budget
+from sumcore.search import Budget, preorder
 
 
 def operand_elements(model):
@@ -151,6 +152,104 @@ def brute_cover(cert, A, model):
         if not any(model.op(g, a) == e for a in members):
             return False
     return True
+
+
+def scan_min_cover(A, model, core=None, shifts=None, t_max=16):
+    """The exact translate cover as it was before index masks: the same
+    decision question for t = counting bound, counting bound + 1, ...
+    below the greedy size, each search over every shift with plain MRV
+    branching, and the lex-least cover fixed one translate at a time with
+    each question asked over all shifts.  ``min_translate_cover`` in
+    exact mode must return its answer, ``Infeasible`` included.
+    """
+    if t_max < 0:
+        raise ValueError(f"t_max must be >= 0, got {t_max}")
+    core, core_bits, order, sets = _cover_problem(A, model, core, shifts)
+    counting_lb = _bound(sets, core_bits)
+    union = 0
+    for s in sets.values():
+        union |= s
+    if union != core_bits:
+        missing = core_bits & ~union
+        elem = (missing & -missing).bit_length() - 1
+        return Infeasible(lower_bound=counting_lb, uncovered_element=elem)
+
+    greedy_cover = []
+    covered = 0
+    while covered != core_bits:
+        best_g, best_gain = None, 0
+        for g in order:
+            gain = (sets[g] & ~covered).bit_count()
+            if gain > best_gain:
+                best_g, best_gain = g, gain
+        greedy_cover.append(best_g)
+        covered |= sets[best_g]
+
+    covers = {}
+    for g in order:
+        for e in iter_bits(sets[g]):
+            covers.setdefault(e, []).append(g)
+    t_star = len(greedy_cover)
+    for t in range(counting_lb, min(t_star, t_max + 1)):
+        if _scan_exists_cover(sets, covers, core_bits, 0, t):
+            t_star = t
+            break
+    if t_star > t_max:
+        return Infeasible(lower_bound=max(counting_lb, t_max + 1),
+                          uncovered_element=None)
+    final = _scan_lex_min_cover(order, sets, covers, core_bits, t_star)
+    return _certificate(final, sets, core, optimal=True, method="exact")
+
+
+def _scan_exists_cover(sets, covers, core_bits, covered, size_limit):
+    """Do at most size_limit more translates cover what is still uncovered?
+
+    Every core element lies in some translate.  Branches on the uncovered
+    element with the fewest covering translates; ``covers`` maps each
+    core element to those translates.
+    """
+    def children(node):
+        covered, size_limit = node
+        if size_limit == 0:
+            return
+        uncovered = core_bits & ~covered
+        if _bound(sets, uncovered) > size_limit:
+            return
+        options = None
+        for e in iter_bits(uncovered):
+            opts = covers[e]
+            if options is None or len(opts) < len(options):
+                options = opts
+                if len(opts) <= 1:
+                    break
+        for g in options:
+            yield covered | sets[g], size_limit - 1
+
+    root = (covered, size_limit)
+    return any(node[0] == core_bits for node in preorder(root, children))
+
+
+def _scan_lex_min_cover(order, sets, covers, core_bits, t_star):
+    """Lexicographically least cover of the optimal size t_star.
+
+    Each step fixes the least shift that still extends to a cover of
+    size t_star.  The picks come out increasing (a smaller shift that
+    extends later would have extended at the earlier step), so the scan
+    resumes after the last pick.
+    """
+    chosen = []
+    covered = 0
+    start = 0
+    while covered != core_bits:
+        for i in range(start, len(order)):
+            g = order[i]
+            if _scan_exists_cover(sets, covers, core_bits, covered | sets[g],
+                                  t_star - len(chosen) - 1):
+                break
+        chosen.append(g)
+        covered |= sets[g]
+        start = i + 1
+    return chosen
 
 
 def brute_square(A, model, k):

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,6 +19,8 @@ from sumcore import (
     parse_set_spec,
     verify_cover,
 )
+
+from .oracles import scan_min_cover
 
 
 def zw(M, L):
@@ -88,6 +92,18 @@ class TestMinTranslateCover:
                                  t_max=24, mode="greedy")
         assert g2.t >= exact.t
         assert counting_lower_bound(A, m, (0, 100), range(-10, 11)) <= exact.t
+
+    @pytest.mark.parametrize("core,expected", [
+        ((400, 430), (-59, 39, 47, 48)),
+        ((400, 460), (-60, -59, -48, 14, 50, 59)),
+    ])
+    def test_bernoulli_quarter_lex_least_frozen(self, core, expected):
+        m = zw(1000, 500)
+        A = generate_set(m, parse_set_spec("bernoulli(1/4,11)"))
+        cert = min_translate_cover(A, m, core=core, shifts=range(-60, 60), t_max=16)
+        assert cert.translates == expected
+        assert cert.optimal
+        assert verify_cover(cert, A, m)
 
     def test_uncoverable_element_reported(self):
         m = zw(100, 50)
@@ -163,3 +179,41 @@ class TestMinTranslateCover:
                                   tuple(0 for _ in cert.witness_index),
                                   cert.optimal, cert.method)
         assert not verify_cover(broken, A, m)
+
+
+class TestExactEqualsScan:
+    """The exact search against ``oracles.scan_min_cover``, the search as
+    it was before index masks, exclusion branching and the restricted
+    lex pass: full results, ``Infeasible`` included."""
+
+    @staticmethod
+    def random_instance(rng):
+        if rng.random() < 0.3:
+            n = rng.randint(2, 12)
+            m = zn(n)
+            A = DenseSet(m, rng.randint(1, (1 << n) - 1))
+            return A, m, {"t_max": rng.randint(0, n)}
+        M = rng.randint(8, 120)
+        m = zw(M, M // 2)
+        p = rng.uniform(0.1, 0.7)
+        A = DenseSet.from_members(m, [x for x in range(M) if rng.random() < p])
+        lo = rng.randrange(M - 1)
+        hi = rng.randint(lo + 1, min(M, lo + 25))
+        g0 = rng.randint(-30, 30)
+        shifts = range(g0, g0 + rng.randint(1, 30))
+        return A, m, {"core": (lo, hi), "shifts": shifts, "t_max": rng.randint(0, 12)}
+
+    def test_equals_scan_on_random_instances(self):
+        rng = random.Random(20261019)
+        kinds = set()
+        for _ in range(600):
+            A, m, kw = self.random_instance(rng)
+            res = min_translate_cover(A, m, **kw)
+            assert res == scan_min_cover(A, m, **kw), (A, m, kw)
+            if isinstance(res, CoverCertificate):
+                kinds.add("cover")
+            elif res.uncovered_element is None:
+                kinds.add("t_max below the optimum")
+            else:
+                kinds.add("uncoverable element")
+        assert len(kinds) == 3

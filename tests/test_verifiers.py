@@ -181,6 +181,24 @@ def test_cover_mutations(kind, k):
             assert verdict is False, c
 
 
+@pytest.mark.parametrize("k", [5, 70])
+@pytest.mark.parametrize("far", [1 << 62, -(1 << 62)])
+def test_far_translate_is_answered_like_an_edge_shift(k, far):
+    # a ZWindow translate of |g| >= M is empty; shifting by g first raised
+    # MemoryError for g = 2^62
+    model, A, _, _ = case("zwindow", k)
+    n = model.carrier_size
+    cert = min_translate_cover(A, model, core=(0, n), shifts=range(-n, n))
+    T, W = cert.translates, cert.witness_index
+    edge = n if far > 0 else -n
+    for witness in (W, W[:-1] + (len(T),)):
+        verdict = verify_cover(replace(cert, translates=T + (far,), witness_index=witness),
+                               A, model)
+        assert verdict is verify_cover(replace(cert, translates=T + (edge,),
+                                               witness_index=witness), A, model)
+        assert verdict is (witness == W)
+
+
 @pytest.mark.parametrize("bad", [-1, 2.0, 2.5])
 def test_negative_or_float_operand_is_rejected(bad):
     # these raised ValueError (negative shift count) or TypeError before

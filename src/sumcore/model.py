@@ -318,6 +318,10 @@ class Relation:
     ``meeting(pool)`` is the bitset of the b's with b·c ∈ A for some c in
     ``pool``: a search that needs such a b draws its candidates from it.
 
+    ``row(g, side)`` is ``left(g)`` or ``right(g)`` over the operands as a
+    bool array, and ``overlaps(opposite, side)`` the size of its
+    intersection with a bool array ``opposite``, for every g in one pass.
+
     ``twins()`` labels the operands by their row and by their column of
     the relation, so that a search can keep one operand per class.
     """
@@ -387,6 +391,54 @@ class Relation:
             out |= self.right(c)
         return out
 
+    @cached_property
+    def _table_grid(self):
+        """Cayley groups: the n × n bool grid of b·c ∈ A."""
+        return self._A.to_numpy()[self._A.model._table_array]
+
+    def row(self, g, side):
+        """``left(g)`` (side ``"left"``) or ``right(g)`` (``"right"``) over
+        the operands: a bool array of length ``bound``."""
+        if isinstance(self._A.model, ZWindow):
+            return self._A.to_numpy()[g:g + self.bound]
+        return self._table_grid[g] if side == "left" else self._table_grid[:, g]
+
+    def overlaps(self, opposite, side):
+        """For every operand g, |opposite ∩ left(g)| (side ``"left"``) or
+        |opposite ∩ right(g)| (``"right"``), with ``opposite`` a bool array
+        over the operands: an int64 array of length ``bound``.
+
+        On a Cayley group it is the grid, or its transpose, times
+        ``opposite`` as a 0/1 integer vector.  On a ZWindow both sides are
+        the correlation s[g] = Σ_x opposite[x]·A[g + x] over x, g < L,
+        which reads A below 2L − 1.  With n = 2^bitlen(2L − 1) ≥ 2L − 1 no
+        sum wraps around, so s is the first L entries of
+        irfft(rfft(A[:2L − 1], n) · conj(rfft(opposite, n)), n); A's
+        transform is computed once per ``Relation``.
+
+        Exactness: the scores are integers ≤ L, and a float64 FFT
+        convolution errs in each entry by at most about
+        c·u·log2(n)·‖A‖₂·‖opposite‖₂ ≤ c·u·log2(n)·√2·L, with u = 2^−53
+        and c a small constant (Higham, *Accuracy and Stability of
+        Numerical Algorithms*, §24.1).  That is c·1.5·10^−8 at L = 2^22,
+        far below ½, so rounding each entry to the nearest integer gives
+        the exact count; on random 0/1 inputs up to L = 2^21 the residual
+        before rounding was 0.0.
+        """
+        if isinstance(self._A.model, ZWindow):
+            spectrum, n = self._spectrum
+            # numpy loads numpy.fft on first use: imports stay as they were
+            corr = np.fft.irfft(spectrum * np.fft.rfft(opposite, n).conj(), n)
+            return np.rint(corr[:self.bound]).astype(np.int64)
+        grid = self._table_grid if side == "left" else self._table_grid.T
+        return grid @ opposite.astype(np.int64)  # bool @ bool would be an OR
+
+    @cached_property
+    def _spectrum(self):
+        """ZWindows: the rfft of A below 2L − 1 at n = 2^bitlen(2L − 1), and n."""
+        n = 1 << (2 * self.bound - 1).bit_length()
+        return np.fft.rfft(self._A.to_numpy()[:2 * self.bound - 1], n), n
+
     def twins(self):
         """Row and column classes of the operands, as two int arrays of
         length ``bound``: ``rows[b] == rows[b']`` iff ``left(b) & domain ==
@@ -398,12 +450,10 @@ class Relation:
         equal columns of the n × n grid, which differ when the table is
         not commutative.
         """
-        mem = self._A.to_numpy()
         if isinstance(self._A.model, ZWindow):
-            rows = _window_classes(mem, self.bound)
+            rows = _window_classes(self._A.to_numpy(), self.bound)
             return rows, rows
-        grid = mem[self._A.model._table_array]
-        return _row_classes(grid), _row_classes(grid.T)
+        return _row_classes(self._table_grid), _row_classes(self._table_grid.T)
 
 
 def _row_classes(grid):

@@ -25,7 +25,9 @@ shifts of A that hold the sums of row 1 for triangular witnesses
 Searches and verifiers read b*c in A through one ``Relation``, built from
 (A, model), so a set from another model raises ``ModelMismatch``; each
 verifier ends in its one pattern check, ``Relation.certifies``.  The
-definable search ANDs slices of A's bool view, one pass per step pair.
+greedy back-and-forth scores every candidate of a pick in one pass,
+``Relation.overlaps``.  The definable search ANDs slices of A's bool
+view, one pass per step pair.
 """
 
 import operator
@@ -395,7 +397,13 @@ def greedy_back_and_forth(A: DenseSet, model, k: int, scorer="pool_size", seed=0
 
     Ties break toward the smallest element.  Returns ``Stuck`` with the
     partial witness when a pool empties; Stuck does NOT imply that no
-    witness exists.
+    witness exists.  The picks do not depend on k, so a run for k starts
+    with the picks of every shorter run.
+
+    Pools are bool arrays over the operands.  A scored pick takes the
+    score of every operand at once from ``Relation.overlaps`` (one
+    correlation on a ZWindow, one matrix-vector product on a Cayley
+    group) and the first best member of the pool.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -403,31 +411,33 @@ def greedy_back_and_forth(A: DenseSet, model, k: int, scorer="pool_size", seed=0
         raise ValueError(f"unknown scorer {scorer!r}")
     rel = Relation(A, model)
     rng = splitmix_stream(seed) if scorer == "random" else None
-    counted = A.bits if scorer == "density_weighted" else -1  # -1: every bit
+    counted = A.to_numpy()[:rel.bound] if scorer == "density_weighted" else True
 
-    def pick(pool, opposite, quot):
+    def pick(pool, opposite, side):
+        idx = np.flatnonzero(pool)
         if rng is not None:
-            return next(islice(iter_bits(pool), next(rng) % pool.bit_count(), None))
-        opposite &= counted
-        # max keeps the first best: ties go to the smallest element
-        return max(iter_bits(pool), key=lambda g: (opposite & quot(g)).bit_count())
+            return int(idx[next(rng) % idx.size])
+        scores = rel.overlaps(opposite & counted, side)
+        # argmax keeps the first best: ties go to the smallest element
+        return int(idx[scores[idx].argmax()])
 
     bs, cs = [], []
-    pool_b = pool_c = rel.domain
+    pool_b = np.ones(rel.bound, dtype=bool)
+    pool_c = pool_b.copy()
     for _ in range(k):
-        if not pool_b:
+        if not pool_b.any():
             return Stuck(tuple(bs), tuple(cs))
-        b = pick(pool_b, pool_c, rel.left)
+        b = pick(pool_b, pool_c, "left")
         bs.append(b)
-        pool_b ^= 1 << b
-        pool_c &= rel.left(b)
+        pool_b[b] = False
+        pool_c &= rel.row(b, "left")
 
-        if not pool_c:
+        if not pool_c.any():
             return Stuck(tuple(bs), tuple(cs))
-        c = pick(pool_c, pool_b, rel.right)
+        c = pick(pool_c, pool_b, "right")
         cs.append(c)
-        pool_c ^= 1 << c
-        pool_b &= rel.right(c)
+        pool_c[c] = False
+        pool_b &= rel.row(c, "right")
     return SquareWitness(tuple(bs), tuple(cs))
 
 
@@ -594,10 +604,19 @@ def growth_curve(A: DenseSet, model, k_max: int, mode="exact", budget=None):
 
     The found-column is monotone: any witness at k restricts to one at
     every smaller k, so after the first exhaustive NotFound the
-    remaining entries are filled without searching.
+    remaining entries are filled without searching.  In heuristic mode
+    the greedy runs once, for k_max: its picks do not depend on k, so its
+    witness at k is its first k pairs, and every k past a ``Stuck`` is a
+    non-exhaustive miss.
     """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
+    if mode == "heuristic":
+        Budget(budget)  # checked as find_square_witness checks it
+        res = greedy_back_and_forth(A, model, k_max)
+        return [GrowthPoint(k, True, SquareWitness(res.b[:k], res.c[:k]), True)
+                if k <= len(res.c) else GrowthPoint(k, False, None, False)
+                for k in range(1, k_max + 1)]
     out = []
     dead = False
     for k in range(1, k_max + 1):

@@ -7,11 +7,21 @@ library is meaningful.  Oracles are only run at small scale.
 
 import itertools
 
-from sumcore import DefinableWitness, DenseSet, FamilyDescriptor, Infeasible, NotFound, ZWindow
+from sumcore import (
+    DefinableWitness,
+    DenseSet,
+    FamilyDescriptor,
+    Infeasible,
+    NotFound,
+    SquareWitness,
+    Stuck,
+    ZWindow,
+)
 from sumcore.cover import _bound, _certificate, _cover_problem
 from sumcore.errors import ModelMismatch
 from sumcore.model import Relation, iter_bits
 from sumcore.search import Budget, preorder
+from sumcore.setspec import splitmix_stream
 
 
 def operand_elements(model):
@@ -333,6 +343,44 @@ def greedy_square(A, model, k, scorer, rng=None):
             return tuple(bs), tuple(cs), False
         cs.append(pick(pool, b_pool(), lambda c, b: in_set(A, model, b, c)))
     return tuple(bs), tuple(cs), True
+
+
+def bitset_greedy(A, model, k, scorer="pool_size", seed=0):
+    """``greedy_back_and_forth`` as it was before scores came from one
+    correlation pass: pools are big-int bitsets, and a scored pick takes
+    one AND and popcount per pool element (the first best on a tie)."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    if scorer not in ("pool_size", "density_weighted", "random"):
+        raise ValueError(f"unknown scorer {scorer!r}")
+    rel = Relation(A, model)
+    rng = splitmix_stream(seed) if scorer == "random" else None
+    counted = A.bits if scorer == "density_weighted" else -1  # -1: every bit
+
+    def pick(pool, opposite, quot):
+        if rng is not None:
+            return next(itertools.islice(iter_bits(pool), next(rng) % pool.bit_count(), None))
+        opposite &= counted
+        # max keeps the first best: ties go to the smallest element
+        return max(iter_bits(pool), key=lambda g: (opposite & quot(g)).bit_count())
+
+    bs, cs = [], []
+    pool_b = pool_c = rel.domain
+    for _ in range(k):
+        if not pool_b:
+            return Stuck(tuple(bs), tuple(cs))
+        b = pick(pool_b, pool_c, rel.left)
+        bs.append(b)
+        pool_b ^= 1 << b
+        pool_c &= rel.left(b)
+
+        if not pool_c:
+            return Stuck(tuple(bs), tuple(cs))
+        c = pick(pool_c, pool_b, rel.right)
+        cs.append(c)
+        pool_c ^= 1 << c
+        pool_b &= rel.right(c)
+    return SquareWitness(tuple(bs), tuple(cs))
 
 
 def brute_ladder_exists(A, model, k):

@@ -1,6 +1,8 @@
+import itertools
 import random
 import time
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -9,6 +11,7 @@ from sumcore import (
     DefinableWitness,
     DenseSet,
     FamilyDescriptor,
+    GrowthPoint,
     InvalidInput,
     LadderCertificate,
     ModelMismatch,
@@ -39,11 +42,13 @@ from sumcore import (
 )
 
 from sumcore import witness
+from sumcore.model import Relation, bits_of
 from sumcore.search import Budget
 from sumcore.setspec import splitmix_stream
 from sumcore.witness import _ANCHOR_LIMIT, _anchor_square_exists, _anchor_triangular_exists
 
 from .oracles import (
+    bitset_greedy,
     brute_square,
     brute_triangular_exists,
     greedy_square,
@@ -412,6 +417,40 @@ class TestAnchorTriangular:
         assert calls == [sparse]
 
 
+def symmetric_group(n):
+    """S_n as the composition table of the permutations of {0, .., n − 1}."""
+    perms = list(itertools.permutations(range(n)))
+    index = {p: i for i, p in enumerate(perms)}
+    table = [[index[tuple(p[q[x]] for x in range(n))] for q in perms] for p in perms]
+    return build_model({"kind": "cayley", "table": table})
+
+
+def model_of(text):
+    """``zwindow:M`` (L = M/2), ``zmod:n`` or ``sym:n``."""
+    kind, size = text.split(":")
+    size = int(size)
+    if kind == "zwindow":
+        return zw(size, size // 2)
+    return zn(size) if kind == "zmod" else symmetric_group(size)
+
+
+# a Bohr set of density 1/2 (the benchmark's greedy instances use it)
+BOHR = "bohr(665857/470832,1/4)"
+GREEDY_SCALE_CASES = [
+    (f"zwindow:{M}", spec)
+    for M in (1 << 10, 1 << 12, 1 << 14)
+    for spec in (f"translate({BOHR},{M % 29 + 1})", "bernoulli(1/2,5)",
+                 "bernoulli(3/4,6)", "bernoulli(1/8,4)", "threshold(0)", "multiples(3)",
+                 "pow2")
+] + [
+    ("zmod:60", "bernoulli(1/2,8)"),
+    ("zmod:96", "union(multiples(4),multiples(6))"),
+    ("sym:5", "bernoulli(1/2,9)"),
+    ("sym:5", "bernoulli(3/4,10)"),
+    ("sym:5", "bernoulli(1/4,11)"),
+]
+
+
 @st.composite
 def small_set(draw):
     """Any set over a ZWindow with M <= 40, Z_n with n <= 12, or S_3."""
@@ -468,6 +507,35 @@ class TestGreedy:
         m = zw(100, 50)
         with pytest.raises(ValueError, match="unknown scorer 'bogus'"):
             greedy_back_and_forth(generate_set(m, Multiples(2)), m, 2, scorer="bogus")
+
+    def test_all_ties_take_the_smallest(self):
+        m = zw(1 << 16, 1 << 15)
+        A = generate_set(m, Threshold(0))
+        assert greedy_back_and_forth(A, m, 4) == SquareWitness((0, 1, 2, 3), (0, 1, 2, 3))
+
+    @pytest.mark.parametrize("model_text,spec", GREEDY_SCALE_CASES)
+    def test_scale_matches_bitset_oracle(self, model_text, spec):
+        """Every k up to 6 on carriers up to 2^12, k = 6 above: the library
+        agrees with the popcount-per-element loop it replaced."""
+        m = model_of(model_text)
+        A = generate_set(m, parse_set_spec(spec))
+        ks = range(1, 7) if m.carrier_size <= 1 << 12 else (6,)
+        for scorer, k in itertools.product(("pool_size", "density_weighted", "random"), ks):
+            got = greedy_back_and_forth(A, m, k, scorer=scorer, seed=k)
+            assert got == bitset_greedy(A, m, k, scorer=scorer, seed=k), (scorer, k)
+
+    def test_overlaps_are_popcounts(self):
+        # L = 2^17: the FFT correlation, rounded, against big-int popcounts
+        m = zw(1 << 18, 1 << 17)
+        A = generate_set(m, parse_set_spec("bernoulli(1/2,7)"))
+        rel = Relation(A, m)
+        rng = np.random.default_rng(7)
+        opposite = rng.random(rel.bound) < 0.75
+        scores = rel.overlaps(opposite, "left")
+        assert np.array_equal(scores, rel.overlaps(opposite, "right"))
+        opp_bits = bits_of(np.flatnonzero(opposite).tolist())
+        for g in rng.choice(rel.bound, 200, replace=False).tolist():
+            assert scores[g] == (opp_bits & rel.left(g)).bit_count()
 
 
 class TestRamseyUpgrade:
@@ -690,6 +758,21 @@ class TestGrowthCurve:
         A = DenseSet(m, 0)
         curve = growth_curve(A, m, 3)
         assert all(not p.found for p in curve)
+
+    @pytest.mark.parametrize("model_text,spec", [
+        ("zwindow:4096", f"translate({BOHR},3)"), ("zwindow:1024", "pow2"),
+        ("zwindow:1024", "bernoulli(1/8,4)"), ("zmod:60", "bernoulli(1/2,8)"),
+        ("sym:4", "bernoulli(1/2,2)")])
+    def test_heuristic_curve_is_one_greedy_run(self, model_text, spec):
+        m = model_of(model_text)
+        A = generate_set(m, parse_set_spec(spec))
+        curve = growth_curve(A, m, 8, mode="heuristic")
+        for point in curve:
+            res = find_square_witness(A, m, point.k, mode="heuristic")
+            if isinstance(res, SquareWitness):
+                assert point == GrowthPoint(point.k, True, res, True)
+            else:
+                assert point == GrowthPoint(point.k, False, None, False)
 
     @given(st.integers(0, 2 ** 20 - 1))
     @settings(max_examples=40, deadline=None)

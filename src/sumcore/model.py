@@ -513,6 +513,91 @@ def _window_classes(mem, L):
 #   * run-length: a single line "RLE1:<M>:<runs>" where <runs> is a
 #     comma-separated alternation gap,run,gap,run,... of lengths summing
 #     to M (a leading gap of 0 is allowed; trailing gap may be omitted).
+#
+# Both are read and written by one decimal codec of whole-array passes over
+# int64 values below 10^18.  What it cannot take exactly goes through int()
+# and str() per value instead, and so does every error: text with anything
+# but ASCII digits and the format's separators (ASCII whitespace; bare
+# commas with no empty token), a token of over 18 digits or RLE sums that
+# could overflow int64; members that numpy does not read as such an array.
+
+_DIGITS_MAX = 18  # a token of at most 18 digits is below 10^18 < 2^63
+_POW10 = 10 ** np.arange(1, _DIGITS_MAX + 1, dtype=np.int64)
+# separator bytes: those bytes.split() splits on, and the comma
+_ASCII_SPACE = np.isin(np.arange(256), list(b" \t\n\r\x0b\x0c"))
+_COMMA = np.arange(256) == ord(",")
+
+
+def _decimal_bytes(values, sep):
+    """Each of the int64 values in [0, 10^18) in decimal, followed by ``sep``."""
+    if values.size == 0:
+        return b""
+    ndigits = np.searchsorted(_POW10, values, side="right") + 1
+    w = int(ndigits.max())
+    text = np.empty((values.size, w + 1), dtype=np.uint8)
+    text[:, w] = ord(sep)
+    rest = values.astype(np.uint32 if w <= 9 else np.int64)  # narrower divides faster
+    for col in range(w - 1, -1, -1):  # one pass per digit column
+        high = rest // 10
+        text[:, col] = rest - high * 10 + ord("0")
+        rest = high
+    # row j of keep: the last j digit columns and the separator
+    keep = np.arange(w + 1) >= np.arange(w, -1, -1)[:, None]
+    return text[keep.take(ndigits, axis=0)].tobytes()
+
+
+def _decimal_values(chars, separator):
+    """The runs of ASCII digits in a uint8 array, as int64 values.
+
+    None when a run has more than 18 digits or a byte is neither a digit nor
+    a separator (``separator`` is a bool table over the 256 bytes).
+    """
+    digit = chars - ord("0")  # wraps to >= 10 for every other byte
+    edges = np.zeros(chars.size + 2, dtype=bool)
+    edges[1:-1] = digit < 10
+    if not (edges[1:-1] | separator.take(chars)).all():
+        return None
+    bounds = np.flatnonzero(edges[1:] != edges[:-1])
+    starts, ends = bounds[0::2], bounds[1::2]
+    lengths = ends - starts
+    w = int(lengths.max()) if lengths.size else 0
+    if w > _DIGITS_MAX:
+        return None
+    values = np.zeros(lengths.size, dtype=np.int64)
+    for k in range(w, 0, -1):  # Horner over the right-aligned digit columns
+        values = values * 10 + digit.take(ends - k, mode="clip") * (lengths >= k)
+    return values
+
+
+def _sorted_unique(values):
+    values = np.sort(values)
+    fresh = values[1:] != values[:-1]
+    return values if fresh.all() else values[np.concatenate(([True], fresh))]
+
+
+def _read_set_bytes(raw):
+    """``read_set_file``'s answer from the file's bytes, or None when the
+    text needs the exact path (which also raises every error)."""
+    text = raw.strip()
+    if not text.startswith(b"RLE1:"):
+        values = _decimal_values(np.frombuffer(raw, dtype=np.uint8), _ASCII_SPACE)
+        return None if values is None else (_sorted_unique(values).tolist(), None)
+    head, colon, body = text[5:].partition(b":")
+    if not (colon and head.isdigit() and len(head) <= _DIGITS_MAX):
+        return None
+    runs = _decimal_values(np.frombuffer(body, dtype=np.uint8), _COMMA)
+    # no empty token: one token more than commas
+    if runs is None or (body and runs.size != body.count(b",") + 1):
+        return None
+    if runs.size and int(runs.max()) * runs.size >= 2**63:
+        return None
+    size, ends = int(head), np.cumsum(runs)
+    if ends.size and ends[-1] > size:
+        return None
+    lengths = runs[1::2]  # run k holds [end of gap k, end of run k)
+    starts = ends[0::2][:lengths.size] - (np.cumsum(lengths) - lengths)
+    members = np.repeat(starts, lengths) + np.arange(lengths.sum())
+    return members.tolist(), size
 
 
 def read_set_file(path):
@@ -520,6 +605,10 @@ def read_set_file(path):
 
     ``members`` is a sorted list of distinct Python ints.
     """
+    with open(path, "rb") as fh:
+        fast = _read_set_bytes(fh.read())
+    if fast is not None:
+        return fast
     with open(path) as fh:
         text = fh.read()
     stripped = text.strip()
@@ -528,6 +617,8 @@ def read_set_file(path):
         if len(parts) != 3:
             raise SumcoreError(f"malformed RLE1 header in {path}")
         size = int(parts[1])
+        if size < 0:
+            raise SumcoreError("negative RLE1 size")
         runs = list(map(int, parts[2].split(","))) if parts[2] else []
         if runs and min(runs) < 0:
             raise SumcoreError("negative run length")
@@ -543,29 +634,64 @@ def read_set_file(path):
     return members, None
 
 
+def _set_file_int(x):
+    try:
+        return operator.index(x)
+    except TypeError:
+        raise SumcoreError(f"set files hold integers, not {x!r}") from None
+
+
+def _sorted_members(members):
+    """The distinct members in increasing order: an int64 array when
+    ``members`` is a 1-D integer array (or a list or tuple numpy reads as
+    one) with every value in [0, 10^18), else a list of Python ints."""
+    if isinstance(members, (list, tuple, np.ndarray)):
+        try:
+            values = np.asarray(members)
+        except ValueError:  # ragged: left to the per-value check
+            values = np.zeros(0)
+        if values.ndim == 1 and values.size and values.dtype.kind in "iu":
+            values = _sorted_unique(values)
+            if values[0] >= 0 and values[-1] < 10**_DIGITS_MAX:
+                return values.astype(np.int64, copy=False)
+    return sorted(set(map(_set_file_int, members)))
+
+
 def set_file_text(members, size=None, fmt="list"):
-    """The text of a set file holding ``members`` (any order, repeats allowed)."""
-    members = sorted(set(members))
-    if members and members[0] < 0:
+    """The text of a set file holding ``members`` (any order, repeats allowed).
+
+    Members are non-negative integers, all below ``size`` when it is given.
+    """
+    members = _sorted_members(members)
+    if len(members) and members[0] < 0:
         raise SumcoreError("set files hold non-negative integers")
+    if size is not None:
+        size = _set_file_int(size)
+        if size < 0 or (len(members) and members[-1] >= size):
+            raise SumcoreError(f"set file members lie in [0, {size})")
+    fast = isinstance(members, np.ndarray)
     if fmt == "list":
+        if fast:
+            return _decimal_bytes(members, b"\n").decode("ascii")
         return "\n".join(map(str, members)) + "\n" if members else ""
     if fmt != "rle":
         raise SumcoreError(f"unknown set file format {fmt!r}")
     if size is None:
-        size = (members[-1] + 1) if members else 0
-    runs, pos = [], 0
-    if members:
-        m = np.asarray(members)
+        size = int(members[-1]) + 1 if len(members) else 0
+    runs, pos = np.zeros(0, dtype=np.int64), 0
+    if len(members):
+        m = members if fast else np.asarray(members, dtype=object)  # exact ints
         cut = np.flatnonzero(np.diff(m) != 1) + 1  # where a new run starts
         starts = m[np.concatenate(([0], cut))]
         stops = m[np.concatenate((cut - 1, [m.size - 1]))] + 1
         gaps = starts - np.concatenate(([0], stops[:-1]))
-        runs = np.column_stack((gaps, stops - starts)).ravel().tolist()
+        runs = np.column_stack((gaps, stops - starts)).ravel()
         pos = int(stops[-1])
     if pos < size:
-        runs.append(size - pos)
-    return f"RLE1:{size}:" + ",".join(map(str, runs)) + "\n"
+        runs = np.append(runs, size - pos)
+    if fast and size < 10**_DIGITS_MAX:
+        return f"RLE1:{size}:" + _decimal_bytes(runs, b",")[:-1].decode("ascii") + "\n"
+    return f"RLE1:{size}:" + ",".join(map(str, runs.tolist())) + "\n"
 
 
 def write_set_file(path, members, size=None, fmt="list"):

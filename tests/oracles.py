@@ -6,6 +6,9 @@ library is meaningful.  Oracles are only run at small scale.
 """
 
 import itertools
+from itertools import accumulate, chain
+
+import numpy as np
 
 from sumcore import (
     DefinableWitness,
@@ -18,7 +21,7 @@ from sumcore import (
     ZWindow,
 )
 from sumcore.cover import _bound, _certificate, _cover_problem
-from sumcore.errors import ModelMismatch
+from sumcore.errors import ModelMismatch, SumcoreError
 from sumcore.model import Relation, iter_bits
 from sumcore.search import Budget, preorder
 from sumcore.setspec import splitmix_stream
@@ -500,6 +503,56 @@ def walk_regular_point(A, interval, alpha, N):
         counts.append(sum(A.contains(y) for y in range(x, b)))
         cuts.append(b)
     return ("partition", tuple(cuts), tuple(counts))
+
+
+def text_read_set_file(path):
+    """``read_set_file`` as per-token ``int()`` over the text (the old reader)."""
+    with open(path) as fh:
+        text = fh.read()
+    stripped = text.strip()
+    if stripped.startswith("RLE1:"):
+        parts = stripped.split(":", 2)
+        if len(parts) != 3:
+            raise SumcoreError(f"malformed RLE1 header in {path}")
+        size = int(parts[1])
+        runs = list(map(int, parts[2].split(","))) if parts[2] else []
+        if runs and min(runs) < 0:
+            raise SumcoreError("negative run length")
+        ends = list(accumulate(runs))
+        if ends and ends[-1] > size:
+            raise SumcoreError("RLE1 runs overflow the declared size")
+        # run k holds [end of gap k, end of run k); a trailing gap has no run
+        members = list(chain.from_iterable(map(range, ends[0::2], ends[1::2])))
+        return members, size
+    members = sorted(set(map(int, stripped.split())))
+    if members and members[0] < 0:
+        raise SumcoreError("set files hold non-negative integers")
+    return members, None
+
+
+def text_set_file_text(members, size=None, fmt="list"):
+    """``set_file_text`` as per-value ``str()`` (the old writer)."""
+    members = sorted(set(members))
+    if members and members[0] < 0:
+        raise SumcoreError("set files hold non-negative integers")
+    if fmt == "list":
+        return "\n".join(map(str, members)) + "\n" if members else ""
+    if fmt != "rle":
+        raise SumcoreError(f"unknown set file format {fmt!r}")
+    if size is None:
+        size = (members[-1] + 1) if members else 0
+    runs, pos = [], 0
+    if members:
+        m = np.asarray(members)
+        cut = np.flatnonzero(np.diff(m) != 1) + 1  # where a new run starts
+        starts = m[np.concatenate(([0], cut))]
+        stops = m[np.concatenate((cut - 1, [m.size - 1]))] + 1
+        gaps = starts - np.concatenate(([0], stops[:-1]))
+        runs = np.column_stack((gaps, stops - starts)).ravel().tolist()
+        pos = int(stops[-1])
+    if pos < size:
+        runs.append(size - pos)
+    return f"RLE1:{size}:" + ",".join(map(str, runs)) + "\n"
 
 
 def power_quadruple_solutions(max_exp):

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,7 +18,9 @@ from sumcore import (
     translate,
     write_set_file,
 )
-from sumcore.model import Relation, bits_of, iter_bits
+from sumcore.model import Relation, _read_set_bytes, bits_of, iter_bits, set_file_text
+
+from .oracles import text_read_set_file, text_set_file_text
 
 
 def zw(M, L):
@@ -287,6 +290,105 @@ class TestSetFiles:
         with pytest.raises(SumcoreError, match="non-negative"):
             write_set_file(path, [-1, 3], fmt=fmt)
         assert not path.exists()
+
+    @pytest.mark.parametrize("members", [[3.0], ["4", "10"], [1, None], [[1], [2]]],
+                             ids=["float", "str", "none", "nested"])
+    @pytest.mark.parametrize("fmt", ["list", "rle"])
+    def test_non_integer_member_rejected(self, fmt, members):
+        with pytest.raises(SumcoreError, match="integers"):
+            set_file_text(members, size=100, fmt=fmt)
+
+    @pytest.mark.parametrize("members, size", [([7], 5), ([0, 5], 5), ([], -1), ([2**70], 9)])
+    @pytest.mark.parametrize("fmt", ["list", "rle"])
+    def test_member_at_or_past_size_rejected(self, fmt, members, size):
+        # an RLE1 file the reader would refuse is never written
+        with pytest.raises(SumcoreError, match=r"lie in \[0, "):
+            set_file_text(members, size=size, fmt=fmt)
+
+    @pytest.mark.parametrize("text", ["RLE1:-3:\n", "RLE1:-3:0,2\n"])
+    def test_negative_rle_size_rejected(self, tmp_path, text):
+        path = tmp_path / "a.set"
+        path.write_text(text)
+        with pytest.raises(SumcoreError, match="negative RLE1 size"):
+            read_set_file(path)
+
+
+def _outcome(fn, *args, **kw):
+    """fn's result, or the type of the exception it raised."""
+    try:
+        return fn(*args, **kw)
+    except Exception as exc:  # compared by type against the oracle
+        return type(exc)
+
+
+class TestSetFileCodecEqualsText:
+    """The numpy codec against the per-value str()/int() codec it replaced."""
+
+    @given(st.sets(st.integers(0, 2**20), max_size=300)
+           | st.lists(st.tuples(st.integers(0, 2**20), st.integers(0, 40)), max_size=20).map(
+               lambda runs: {x for a, n in runs for x in range(a, min(a + n, 2**20 + 1))}),
+           st.none() | st.integers(0, 2**20), st.sampled_from(["list", "rle"]), st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_random_sets(self, members, extra, fmt, as_array):
+        import tempfile
+
+        size = None if extra is None else max(members, default=-1) + 1 + extra
+        arg = np.array(sorted(members), dtype=np.int64) if as_array else list(members)
+        text = set_file_text(arg, size=size, fmt=fmt)
+        assert text == text_set_file_text(list(members), size=size, fmt=fmt)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = f"{tmp}/a.set"
+            with open(path, "w") as fh:
+                fh.write(text)
+            assert read_set_file(path) == text_read_set_file(path)
+            assert _read_set_bytes(text.encode()) == text_read_set_file(path)  # no fallback
+
+    @pytest.mark.parametrize("fmt", ["list", "rle"])
+    @pytest.mark.parametrize("members, size", [
+        ([], None), ([], 0), ([], 7), ([0], None), ([5, 5, 1, 3, 3], 6),
+        ((9, 0, 10, 99, 100), 1000), ({4, 1, 2}, 5), (range(0, 2**20, 3), 2**20),
+        (range(2**20), 2**20), (np.arange(50, dtype=np.int32), None),
+        ([10**18 - 1, 0], None), ([10**18, 3], 10**18 + 1), ([10**29, 7], None),
+        ([1, 2], 10**30),
+    ])
+    def test_hand_written_members(self, tmp_path, fmt, members, size):
+        text = set_file_text(members, size=size, fmt=fmt)
+        assert text == text_set_file_text(list(members), size=size, fmt=fmt)
+        path = tmp_path / "a.set"
+        path.write_text(text)
+        assert read_set_file(path) == text_read_set_file(path)
+
+    def test_uint64_members_give_integer_runs(self):
+        # the old writer took these members as uint64 and wrote float runs
+        assert set_file_text([2**63, 5], size=2**64, fmt="rle") == \
+            f"RLE1:{2**64}:5,1,{2**63 - 6},1,{2**63 - 1}\n"
+        assert set_file_text([2**63], fmt="rle") == f"RLE1:{2**63 + 1}:{2**63},1\n"
+        members = np.arange(0, 3000, 7, dtype=np.uint64)
+        for fmt in ("list", "rle"):
+            assert set_file_text(members, size=3000, fmt=fmt) == \
+                text_set_file_text(members.tolist(), size=3000, fmt=fmt)
+
+    @pytest.mark.parametrize("raw", [
+        b"", b" \n\t ", b"5", b"1\t2\t\t3\n", b"1\r\n2\r\n3\r\n", b"1\x0b2\x0c3\r4",
+        b"\n\n5\n\n\n7\n\n", b"007\n7\n0\n00\n", b"+5\n3\n", b"1_0\n", b"-3\n4\n", b"-0\n",
+        "\u0661\u0662\n3\n".encode(), b"1" + b"0" * 29 + b"\n2\n", b"9" * 18 + b"\n",
+        b"1" + b"0" * 18 + b"\n", b"0" * 25 + b"7\n", b"5\x1c6", b"\xef\xbb\xbf5\n", b"\xff\n",
+        b"1 2 x", b"1.5\n", b"0x10\n",
+        b"RLE1:10:2,3\n", b"  RLE1:10:2,3,5 \n\n", b"RLE1:10:1, 2\n", b"RLE1:10:1 ,2\n",
+        b"RLE1:10:1,,2\n", b"RLE1:10:1,2,\n", b"RLE1:10:,1,2\n", b"RLE1:10:,\n",
+        b"RLE1:10:2,-1,3\n", b"RLE1:5:3,4\n", b"RLE1:5:2,3\n", b"RLE1:5:\n", b"RLE1:0:\n",
+        b"RLE1:5", b"RLE1:\n", b"RLE1::1\n", b"RLE1:05:0,5\n", b"RLE1: 10:2,3\n",
+        b"RLE1:+10:2,3\n", b"RLE1:1_0:2,3\n", b"RLE1:10:2,3:4\n", b"RLE1:10:0,0,0,4\n",
+        b"RLE1:10:2,3\r\n", b"RLE1:10:2,\r3\n", b"RLE1:10:2,3\x1c", b"\x1cRLE1:10:2,3",
+        b"RLE1:" + b"1" * 19 + b":1,2\n", b"RLE1:" + b"9" * 18 + b":" + b"1" * 19 + b",1\n",
+        b"RLE1:5:" + b",".join([b"9" * 18] * 10) + b"\n",
+        b"RLE1:" + b"9" * 18 + b":" + b",".join([b"0"] * 8 + [b"9" * 17]) + b"\n",
+        "RLE1:10:\u0661,2\n".encode(), b"rle1:10:2,3\n", b"5\nRLE1:10:2,3\n",
+    ])
+    def test_hand_written_files(self, tmp_path, raw):
+        path = tmp_path / "a.set"
+        path.write_bytes(raw)
+        assert _outcome(read_set_file, path) == _outcome(text_read_set_file, path)
 
 
 def test_iter_bits_helpers():

@@ -24,11 +24,11 @@ one integer.
 Every search and verifier of witnesses and ladders reads the relation
 b·c ∈ A through one ``Relation``, which refuses a set from another
 model: the operand bitsets {c : b·c ∈ A} and {b : b·c ∈ A} (a shift of A
-on a ZWindow, a memoized ``quotient`` on a Cayley group) and, for
-verifiers, one test of a certificate's bool grid of b·c ∈ A against its
-pattern, the grid being one numpy gather at the sums or at the entries
-of the Cayley table held as an integer array.  Cayley ``quotient`` and
-``translate`` are gathers over that array too.
+on a ZWindow, a memoized ``quotient`` on a Cayley group).  Verifiers test
+a certificate's grid of b·c ∈ A against its pattern row by row, one
+big-int AND of each row's bitset with the c's the row must hold.  Cayley
+``quotient`` and ``translate`` are gathers over the table held as an
+integer array.
 """
 
 import operator
@@ -306,14 +306,8 @@ class Relation:
     on a Cayley group each is computed once per element through
     ``quotient``.
 
-    ``grid(bs, cs)`` is the bool array whose ``[i, j]`` is set iff
-    bs[i]·cs[j] ∈ A, one gather from ``A.to_numpy()`` at the products
-    ``bs[i] + cs[j]`` or ``table[bs[i], cs[j]]``.  Its index arrays must
-    come from ``operands``, or be sliced from arrays it returned: numpy
-    would wrap a negative index around to the end of A.
     ``certifies(bs, cs, pattern)`` is the verdict of every grid
-    certificate: operand sequences checked by ``operands``, one gather,
-    one pattern test.
+    certificate, read row by row as the bitsets ``left(b)``.
 
     ``meeting(pool)`` is the bitset of the b's with b·c ∈ A for some c in
     ``pool``: a search that needs such a b draws its candidates from it.
@@ -335,15 +329,12 @@ class Relation:
         self._A = A
         if isinstance(model, ZWindow):
             self.left = self.right = partial(operator.rshift, A.bits)
-            self._products = np.add.outer
         else:
             self.left = cache(lambda g: quotient(A, g, "left").bits)
             self.right = cache(lambda g: quotient(A, g, "right").bits)
-            table = model._table_array
-            self._products = lambda bs, cs: table[np.ix_(bs, cs)]
 
     def operands(self, bs, cs):
-        """bs and cs as index arrays when each is a non-empty sequence of
+        """bs and cs as lists of ints when each is a non-empty sequence of
         distinct operands (integers in the operand range), else None."""
         out = []
         for xs in (bs, cs):
@@ -351,34 +342,30 @@ class Relation:
                 xs = [operator.index(x) for x in xs]
             except TypeError:
                 return None
-            if not xs or len(set(xs)) < len(xs) \
-                    or not all(0 <= x < self.bound for x in xs):
+            if not xs or len(set(xs)) < len(xs) or min(xs) < 0 or max(xs) >= self.bound:
                 return None
-            out.append(np.array(xs, dtype=np.intp))
+            out.append(xs)
         return out
-
-    def grid(self, bs, cs):
-        return self._A.to_numpy()[self._products(bs, cs)]
 
     def certifies(self, bs, cs, pattern):
         """Whether the operand sequences bs, cs give a grid of b·c ∈ A with
         ``pattern``: ``"all"`` true (any shape; definable witnesses),
         ``"square"`` all true and k × k, ``"upper"`` k × k and true on and
         above the diagonal (triangular witnesses), ``"ladder"`` k × k and
-        true exactly there.  Malformed operands give False.  The pattern
-        is tested in place: a second k × k array is 16 MB at k = 4096."""
+        true exactly there.  Malformed operands give False, before any shift.
+        Row i, ``left(bs[i])`` ANDed with C = {c's}, must equal C (square,
+        all), hold S_i = {c_j : j >= i} (upper) or equal S_i (ladder)."""
         ops = self.operands(bs, cs)
-        if ops is None:
+        if ops is None or (pattern != "all" and len(ops[0]) != len(ops[1])):
             return False
-        k = len(ops[0])
-        if pattern != "all" and len(ops[1]) != k:
-            return False
-        grid = self.grid(*ops)
-        if pattern == "upper":
-            grid |= np.tri(k, k=-1, dtype=bool)
-        elif pattern == "ladder":
-            grid ^= np.tri(k, k=-1, dtype=bool)  # below-diagonal falses turn true
-        return bool(grid.all())
+        bs, cs = ops
+        need = C = bits_of(cs)
+        for i, b in enumerate(bs):
+            if self.left(b) & (C if pattern == "ladder" else need) != need:
+                return False
+            if pattern in ("upper", "ladder"):
+                need ^= 1 << cs[i]
+        return True
 
     def meeting(self, pool):
         """The union of ``right(c)`` over the c in the bitset ``pool``, or

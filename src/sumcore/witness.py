@@ -24,10 +24,11 @@ shifts of A that hold the sums of row 1 for triangular witnesses
 (``_anchor_triangular_exists``).
 Searches and verifiers read b*c in A through one ``Relation``, built from
 (A, model), so a set from another model raises ``ModelMismatch``; each
-verifier ends in its one pattern check, ``Relation.certifies``.  The
-greedy back-and-forth scores every candidate of a pick in one pass,
-``Relation.overlaps``.  The definable search ANDs slices of A's bool
-view, one pass per step pair.
+verifier ends in its one pattern check, ``Relation.certifies``, which
+reads the grid row by row as bitsets; the Ramsey walk colours each pivot
+with one AND of bitsets.  The greedy back-and-forth scores every
+candidate of a pick in one pass, ``Relation.overlaps``.  The definable
+search ANDs slices of A's bool view, one pass per step pair.
 """
 
 import operator
@@ -39,7 +40,7 @@ import numpy as np
 
 from .errors import InvalidInput, ModelMismatch
 from .ladder import LadderCertificate
-from .model import DenseSet, Relation, ZWindow, iter_bits
+from .model import DenseSet, Relation, ZWindow, bits_of, iter_bits
 # bench/tracing.py wraps ``sumcore.witness.quotient`` by name
 from .model import quotient  # noqa: F401
 from .search import Budget, preorder
@@ -452,7 +453,9 @@ def ramsey_upgrade(tri: TriangularWitness, A: DenseSet, model) -> UpgradeResult:
     labelled with the majority color of the pairs it forms with the rest,
     and the walk recurses into that majority class.  Chain elements of
     the majority label (plus the final unlabelled pivot) form the
-    homogeneous set I, of size at least floor(log2(m)/2).
+    homogeneous set I, of size at least floor(log2(m)/2).  The remaining
+    b's (distinct in a verified input) are one bitset: pivot p's "in A"
+    class is that set without b_p, ANDed with ``right(c_p)``.
 
     Homogeneous color "in A" gives a full square witness on I (pairs on
     or above the diagonal are already in A); color "not in A" gives an
@@ -461,22 +464,22 @@ def ramsey_upgrade(tri: TriangularWitness, A: DenseSet, model) -> UpgradeResult:
     if not verify_triangular_witness(tri, A, model):
         raise InvalidInput("input does not verify as a triangular witness")
     rel = Relation(A, model)
-    bs_arr, cs_arr = rel.operands(tri.b, tri.c)
+    bs, cs = rel.operands(tri.b, tri.c)
 
-    pivots, labels = [], []
-    rest = np.arange(tri.m)
-    while rest.size > 1:
-        pivot, others = rest[0], rest[1:]
-        flags = rel.grid(bs_arr[others], cs_arr[pivot:pivot + 1])[:, 0]
-        hot, cold = others[flags], others[~flags]
-        pivots.append(int(pivot))
-        labels.append(hot.size >= cold.size)
-        rest = hot if labels[-1] else cold
+    chain = ([], [])  # the pivots labelled "not in A" and "in A"
+    rest, size = bits_of(bs), len(bs)  # the remaining b's and their number
+    for p, (b, c) in enumerate(zip(bs, cs)):
+        if size > 1 and rest >> b & 1:  # the least remaining index: a pivot
+            others = rest ^ (1 << b)
+            hot = others & rel.right(c)
+            hot_size = hot.bit_count()
+            label = 2 * hot_size >= size - 1
+            chain[label].append(p)
+            rest, size = (hot, hot_size) if label else (others ^ hot, size - 1 - hot_size)
 
     # the majority label's pivots plus the final, unlabelled one
-    take_hot = 2 * sum(labels) >= len(labels)
-    indices = [i for i, lab in zip(pivots, labels) if lab == take_hot]
-    indices = tuple(sorted(indices + [int(rest[0])]))
+    take_hot = len(chain[True]) >= len(chain[False])
+    indices = tuple(sorted(chain[take_hot] + [bs.index(rest.bit_length() - 1)]))
 
     bs = tuple(tri.b[i] for i in indices)
     cs = tuple(tri.c[i] for i in indices)
@@ -486,17 +489,26 @@ def ramsey_upgrade(tri: TriangularWitness, A: DenseSet, model) -> UpgradeResult:
 
 
 def verify_upgrade(res: UpgradeResult, A: DenseSet, model) -> bool:
-    """The certificate the tag names verifies; False when that field holds
-    no certificate of its kind."""
+    """The certificate the tag names verifies and ``indices`` is a strictly
+    increasing tuple of non-negative integers, one per operand pair; False
+    when the tag's field holds no certificate of its kind."""
     # looked up per call: bench/tracing.py wraps ``ladder.verify_ladder``
     # on its module, which a name bound at import time would bypass
     from .ladder import verify_ladder
 
     if res.tag == "square" and isinstance(res.square, SquareWitness):
-        return verify_square_witness(res.square, A, model)
-    if res.tag == "ladder" and isinstance(res.ladder, LadderCertificate):
-        return verify_ladder(res.ladder, A, model)
-    return False
+        cert, verify = res.square, verify_square_witness
+    elif res.tag == "ladder" and isinstance(res.ladder, LadderCertificate):
+        cert, verify = res.ladder, verify_ladder
+    else:
+        return False
+    try:
+        ints = [operator.index(i) for i in res.indices]
+        one_per_pair = isinstance(res.indices, tuple) and len(ints) == len(cert.b)
+    except TypeError:
+        return False
+    increasing = all(i < j for i, j in zip([-1] + ints, ints))  # and non-negative
+    return one_per_pair and increasing and verify(cert, A, model)
 
 
 # --- definable witnesses --------------------------------------------------------

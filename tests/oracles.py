@@ -6,6 +6,7 @@ library is meaningful.  Oracles are only run at small scale.
 """
 
 import itertools
+import operator
 from itertools import accumulate, chain
 
 import numpy as np
@@ -15,9 +16,12 @@ from sumcore import (
     DenseSet,
     FamilyDescriptor,
     Infeasible,
+    InvalidInput,
+    LadderCertificate,
     NotFound,
     SquareWitness,
     Stuck,
+    UpgradeResult,
     ZWindow,
 )
 from sumcore.cover import _bound, _certificate, _cover_problem
@@ -553,6 +557,92 @@ def text_set_file_text(members, size=None, fmt="list"):
     if pos < size:
         runs.append(size - pos)
     return f"RLE1:{size}:" + ",".join(map(str, runs)) + "\n"
+
+
+class GatherRelation:
+    """``Relation``'s grid verdicts read the old way: the k × k bool grid of
+    b·c ∈ A in one numpy gather through an index array of the products,
+    then the pattern tested in place on it (the verifier that big-int rows
+    replaced)."""
+
+    def __init__(self, A, model=None):
+        if model is not None and A.model != model:
+            raise ModelMismatch("set and model disagree")
+        model = A.model
+        self.bound = model.operand_mask.bit_length()
+        self._A = A
+        if isinstance(model, ZWindow):
+            self._products = np.add.outer
+        else:
+            table = model._table_array
+            self._products = lambda bs, cs: table[np.ix_(bs, cs)]
+
+    def operands(self, bs, cs):
+        """bs and cs as index arrays when each is a non-empty sequence of
+        distinct operands (integers in the operand range), else None."""
+        out = []
+        for xs in (bs, cs):
+            try:
+                xs = [operator.index(x) for x in xs]
+            except TypeError:
+                return None
+            if not xs or len(set(xs)) < len(xs) \
+                    or not all(0 <= x < self.bound for x in xs):
+                return None
+            out.append(np.array(xs, dtype=np.intp))
+        return out
+
+    def grid(self, bs, cs):
+        return self._A.to_numpy()[self._products(bs, cs)]
+
+    def certifies(self, bs, cs, pattern):
+        ops = self.operands(bs, cs)
+        if ops is None:
+            return False
+        k = len(ops[0])
+        if pattern != "all" and len(ops[1]) != k:
+            return False
+        grid = self.grid(*ops)
+        if pattern == "upper":
+            grid |= np.tri(k, k=-1, dtype=bool)
+        elif pattern == "ladder":
+            grid ^= np.tri(k, k=-1, dtype=bool)  # below-diagonal falses turn true
+        return bool(grid.all())
+
+
+def gather_certifies(A, model, bs, cs, pattern):
+    """``Relation(A, model).certifies`` through one m × m gather."""
+    return GatherRelation(A, model).certifies(bs, cs, pattern)
+
+
+def gather_ramsey_upgrade(tri, A, model):
+    """``ramsey_upgrade`` with one grid column gathered per pivot (the old
+    walk over index arrays)."""
+    if not gather_certifies(A, model, tri.b, tri.c, "upper"):
+        raise InvalidInput("input does not verify as a triangular witness")
+    rel = GatherRelation(A, model)
+    bs_arr, cs_arr = rel.operands(tri.b, tri.c)
+
+    pivots, labels = [], []
+    rest = np.arange(tri.m)
+    while rest.size > 1:
+        pivot, others = rest[0], rest[1:]
+        flags = rel.grid(bs_arr[others], cs_arr[pivot:pivot + 1])[:, 0]
+        hot, cold = others[flags], others[~flags]
+        pivots.append(int(pivot))
+        labels.append(hot.size >= cold.size)
+        rest = hot if labels[-1] else cold
+
+    # the majority label's pivots plus the final, unlabelled one
+    take_hot = 2 * sum(labels) >= len(labels)
+    indices = [i for i, lab in zip(pivots, labels) if lab == take_hot]
+    indices = tuple(sorted(indices + [int(rest[0])]))
+
+    bs = tuple(tri.b[i] for i in indices)
+    cs = tuple(tri.c[i] for i in indices)
+    if take_hot:
+        return UpgradeResult("square", indices, SquareWitness(bs, cs), None)
+    return UpgradeResult("ladder", indices, None, LadderCertificate(bs, cs))
 
 
 def power_quadruple_solutions(max_exp):

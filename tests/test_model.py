@@ -170,7 +170,6 @@ class TestQuotient:
                          "table": [[(r[i] + c[j]) % n for j in range(n)] for i in range(n)]})
         A = DenseSet(m, bits & ((1 << n) - 1))
         rel = Relation(A)
-        grid = rel.grid(*rel.operands(range(n), range(n)))
         for g in range(n):
             right = [b for b in range(n) if A.contains(m.op(b, g))]
             left = [c for c in range(n) if A.contains(m.op(g, c))]
@@ -178,7 +177,8 @@ class TestQuotient:
             assert quotient(A, g, "left").members() == left
             assert list(iter_bits(rel.right(g))) == right
             assert list(iter_bits(rel.left(g))) == left
-            assert grid[:, g].nonzero()[0].tolist() == right
+            assert rel.row(g, "right").nonzero()[0].tolist() == right
+            assert rel.row(g, "left").nonzero()[0].tolist() == left
             assert translate(A, g).members() == sorted(m.op(g, a) for a in A.members())
 
     def test_translate_inverts_quotient_on_groups(self):

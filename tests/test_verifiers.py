@@ -8,6 +8,7 @@ sum wraps around in Z_4k.  Each verifier must give the verdict of an
 oracle that reads b*c in A from ``model.op`` alone.
 """
 
+import random
 from dataclasses import replace
 
 import pytest
@@ -33,7 +34,10 @@ from sumcore import (
     verify_upgrade,
 )
 
-from .oracles import brute_cover, brute_definable, brute_pattern
+from sumcore.model import Relation
+
+from .oracles import brute_cover, brute_definable, brute_pattern, gather_certifies
+from .test_witness import symmetric_group
 
 CASES = [(kind, k) for kind in ("zwindow", "zmod") for k in (5, 70)]
 
@@ -95,6 +99,58 @@ def test_square_and_triangular_mutations(kind, k):
             brute_pattern(A, model, bs, cs, square), (bs, cs)
         assert verify_triangular_witness(TriangularWitness(bs, cs), A, model) == \
             brute_pattern(A, model, bs, cs, triangular), (bs, cs)
+
+
+PATTERNS = ("square", "upper", "ladder", "all")
+
+
+@pytest.mark.parametrize("kind,k", CASES)
+def test_certifies_equals_gather_on_mutations(kind, k):
+    model, A, sq, lad = case(kind, k)
+    rel = Relation(A, model)
+    bad = [((-1, 2), (3, 4)), ((3, 4), (2, 2.0)), ((2.5, 2), (3, 4)), ((), ())]
+    for bs, cs in mutations(*sq, model) + mutations(*lad, model) + bad:
+        for pattern in PATTERNS:
+            assert rel.certifies(bs, cs, pattern) == \
+                gather_certifies(A, model, bs, cs, pattern), (bs, cs, pattern)
+
+
+def random_certificates(model, rng, trials):
+    """(A, bs, cs): A random noise plus the products of a square, upper or
+    ladder pattern on random operands, one product flipped half the time."""
+    bound = model.operand_mask.bit_length()
+    n = model.carrier_size
+    for _ in range(trials):
+        k = rng.randint(1, min(bound, 12))
+        bs, cs = rng.sample(range(bound), k), rng.sample(range(bound), k)
+        members = {x for x in range(n) if rng.random() < rng.choice((0.1, 0.5))}
+        shape = rng.choice(("square", "upper", "ladder"))
+        for i in range(k):
+            for j in range(k):
+                prod = model.op(bs[i], cs[j])
+                if shape == "square" or i <= j:
+                    members.add(prod)
+                elif shape == "ladder":
+                    members.discard(prod)
+        if rng.random() < 0.5:
+            members ^= {model.op(rng.choice(bs), rng.choice(cs))}
+        yield DenseSet.from_members(model, members), tuple(bs), tuple(cs)
+
+
+@pytest.mark.parametrize("kind", ["zwindow", "zmod", "sym5"])
+def test_certifies_equals_gather_on_random_certificates(kind):
+    model = {"zwindow": build_model({"kind": "zwindow", "M": 96, "L": 48}),
+             "zmod": build_model({"kind": "cayley", "table": cyclic_table(40)}),
+             "sym5": symmetric_group(5)}[kind]
+    verdicts = []
+    for A, bs, cs in random_certificates(model, random.Random(16), 300):
+        rel = Relation(A, model)
+        for b, c in ((bs, cs), (cs, bs), (bs, cs[:-1]), (bs[::-1], cs)):
+            for pattern in PATTERNS:
+                got = rel.certifies(b, c, pattern)
+                assert got == gather_certifies(A, model, b, c, pattern), (b, c, pattern)
+                verdicts.append(got)
+    assert 0.1 < sum(verdicts) / len(verdicts) < 0.9
 
 
 def check_ladder(cert, A, model):
@@ -235,3 +291,20 @@ def test_upgrade_without_its_certificate_is_false():
                 UpgradeResult("square", (0,), ladder, None),
                 UpgradeResult("ladder", (0,), None, square)):
         assert verify_upgrade(res, A, model) is False, res
+
+
+def test_upgrade_with_malformed_indices_is_false():
+    # both passed before: indices were never read
+    model = build_model({"kind": "zwindow", "M": 100, "L": 50})
+    A = DenseSet.from_members(model, range(100))
+    assert not verify_upgrade(UpgradeResult("square", ("x", -5),
+                                            SquareWitness((1, 2), (4, 5)), None), A, model)
+    square = UpgradeResult("square", (0, 1, 2), SquareWitness((1, 2, 3), (4, 5, 6)), None)
+    ladder = UpgradeResult("ladder", (0, 1, 2), None, LadderCertificate((3, 2, 1), (0, 1, 2)))
+    A_ladder = DenseSet.from_members(model, range(3, 100))
+    for res, B in ((square, A), (ladder, A_ladder)):
+        assert verify_upgrade(res, B, model)
+        for indices in [(0,), (0, 1), (0, 1, 2, 3), (-1, 0, 1), (0, 2, 1), (0, 1, 1),
+                        (0, 1.0, 2), ("0", 1, 2), [0, 1, 2], None, 3]:
+            assert verify_upgrade(replace(res, indices=indices), B, model) is False, indices
+        assert verify_upgrade(replace(res, indices=(2, 7, 40)), B, model)

@@ -51,6 +51,7 @@ from .oracles import (
     bitset_greedy,
     brute_square,
     brute_triangular_exists,
+    gather_ramsey_upgrade,
     greedy_square,
     power_quadruple_solutions,
     scan_definable_search,
@@ -590,6 +591,59 @@ class TestRamseyUpgrade:
         assert verify_upgrade(res, A, model)
         floor_log = (mlen.bit_length() - 1) // 2
         assert len(res.indices) >= floor_log
+
+
+    @pytest.mark.parametrize("mlen,spread", [(1, 2), (2, 2), (3, 16), (17, 2), (64, 16),
+                                              (257, 2), (300, 16), (1024, 2)])
+    def test_equals_gather_walk_zwindow(self, mlen, spread):
+        # spread 2 draws the operands below 4m over a set of density 0.4, so
+        # most sums below the diagonal are in A; spread 16 mixes the colours
+        rng = np.random.default_rng(mlen)
+        L = max(spread * mlen, 64)
+        model = zw(4 * L, 2 * L)
+        b = rng.choice(2 * L, mlen, replace=False)
+        c = rng.choice(2 * L, mlen, replace=False)
+        mask = rng.random(4 * L) < (0.4 if spread == 2 else 0.05)
+        for i in range(mlen):
+            mask[b[i] + c[i:]] = True
+        A = DenseSet.from_members(model, np.flatnonzero(mask))
+        tri = TriangularWitness(tuple(b.tolist()), tuple(c.tolist()))
+        res = ramsey_upgrade(tri, A, model)
+        assert res == gather_ramsey_upgrade(tri, A, model)
+        assert verify_upgrade(res, A, model)
+
+    @pytest.mark.parametrize("tag", ["square", "ladder"])
+    def test_equals_gather_walk_forced(self, tag):
+        # bench/corpus's forced inputs at m = 1024: every pair hot, or every one cold
+        mlen = 1024
+        model = zw(16 * mlen, 8 * mlen)
+        if tag == "square":
+            A = generate_set(model, Threshold(0))
+            tri = TriangularWitness(tuple(range(mlen)), tuple(range(mlen, 2 * mlen)))
+        else:
+            A = generate_set(model, Threshold(4 * mlen))
+            tri = TriangularWitness(tuple(4 * mlen - i for i in range(1, mlen + 1)),
+                                    tuple(range(1, mlen + 1)))
+        res = ramsey_upgrade(tri, A, model)
+        assert res == gather_ramsey_upgrade(tri, A, model)
+        assert (res.tag, res.indices) == (tag, tuple(range(mlen)))
+
+    @pytest.mark.parametrize("group", ["zmod:64", "sym:5"])
+    def test_equals_gather_walk_cayley(self, group):
+        # on S_5 right(c) is not left(c): the walk must colour by right(c_p)
+        model = model_of(group)
+        n = model.carrier_size
+        rng = random.Random(group)
+        for _ in range(40):
+            mlen = rng.randint(1, 12)
+            b, c = rng.sample(range(n), mlen), rng.sample(range(n), mlen)
+            members = {x for x in range(n) if rng.random() < rng.choice((0.2, 0.5))}
+            members |= {model.op(b[i], c[j]) for i in range(mlen) for j in range(i, mlen)}
+            A = DenseSet.from_members(model, members)
+            tri = TriangularWitness(tuple(b), tuple(c))
+            res = ramsey_upgrade(tri, A, model)
+            assert res == gather_ramsey_upgrade(tri, A, model)
+            assert verify_upgrade(res, A, model)
 
 
 class TestDefinableWitness:

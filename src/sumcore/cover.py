@@ -6,25 +6,25 @@ elements are candidate shifts.  On an integer window, translates slide
 sets off the edges, so covering is demanded only on a declared core
 subwindow with shifts drawn from a declared range.
 
-``min_translate_cover`` solves minimum set cover exactly or
-approximately by the standard greedy rule.  The exact mode asks one
-decision question, "do at most t of the allowed translates cover what
-is left?", for t = counting bound, counting bound + 1, ... below the
-greedy size with every shift allowed; the first yes is the optimum.
-The same question then fixes the lexicographically least optimal cover
-one translate at a time; for the candidate at position i of the sorted
-shifts it allows only the shifts above i, which gives the same answers
-(``_lex_min_cover`` says why).  The decision search indexes shifts by
-that position and keeps, for each core element, the bitmask of the
-shifts that cover it: it branches on the element with the fewest
-allowed shifts, bans each option from its later siblings' subtrees, and
-decides the last translate as one AND of masks.  Either way the
-certificate records, for every core element, which translate covers
-it, so covers re-verify element by element.
+Each shift's row, its translate's bits on the core, comes from one pass
+with no DenseSet per shift: a numpy scatter through the Cayley table, or
+big-int shifts of A's bits.  ``min_translate_cover`` solves minimum set
+cover exactly or by the standard greedy rule.  The exact mode asks "do at
+most t of the allowed shifts cover what is left?" for t = counting bound,
+counting bound + 1, ... below the greedy size; the first yes is the
+optimum.  The same question fixes the lex-least optimal cover one
+translate at a time, allowing the candidate at position i only the shifts
+above i (``_lex_min_cover`` says why).  The search keeps each core
+element's bitmask of covering shifts, branches on the element with the
+fewest allowed, bans each option from its later siblings' subtrees, and
+decides the last translate as one AND of masks.  The certificate names,
+for every core element, the translate covering it.
 """
 
 import operator
+from bisect import bisect_left
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -53,32 +53,43 @@ class Infeasible:
 
 
 def _cover_problem(A, model, core, shifts):
-    """Validated core, core bitmask, sorted shifts and {g: gA ∩ core}."""
+    """Validated core, the sorted shifts whose translate meets it (no greedy
+    step or minimal cover uses another) and their rows: bit e of rows[i] is
+    core element lo + e of the translate by order[i]."""
     if A.model != model:
         raise ModelMismatch("set and model disagree")
     if isinstance(model, CayleyGroup):
-        core = (0, model.order)
-        shifts = range(model.order)
+        n = model.order
+        core, order = (0, n), range(n)
+        grid = np.zeros((n, n), dtype=bool)  # one scatter: row g is g·A
+        grid[np.arange(n)[:, None], model._table_array] = A.to_numpy()
+        rows = [int.from_bytes(r.tobytes(), "little")
+                for r in np.packbits(grid, axis=1, bitorder="little")]
     elif isinstance(model, ZWindow):
         if core is None:
             raise BadCore("ZWindow cover needs an explicit core region")
         lo, hi = core
         if not (0 <= lo < hi <= model.carrier_size):
             raise BadCore(f"core [{lo},{hi}) not inside the carrier")
-        if shifts is None:
-            shifts = range(-(hi - 1), hi)
+        order = range(1 - hi, hi) if shifts is None else sorted(set(int(g) for g in shifts))
+        # only lo - max A <= g < hi - min A moves a member into the core, and
+        # the row of g is a shift of A's bits cut once to [lo - g_max, hi - g_min)
+        order = order[bisect_left(order, lo + 1 - A.bits.bit_length()):
+                      bisect_left(order, hi + 1 - (A.bits & -A.bits).bit_length())]
+        g_min, g_max = (order[0], order[-1]) if order else (0, 0)
+        cut = A.bits & ((1 << (hi - g_min)) - 1)
+        cut = cut >> (lo - g_max) if lo >= g_max else cut << (g_max - lo)
+        width = (1 << (hi - lo)) - 1
+        rows = [(cut >> (g_max - g)) & width for g in order]
     else:
         raise ModelMismatch(f"unsupported model {model!r}")
-    lo, hi = core
-    core_bits = ((1 << hi) - 1) ^ ((1 << lo) - 1)
-    order = sorted(set(int(g) for g in shifts))
-    sets = {g: translate(A, g).bits & core_bits for g in order}
-    return core, core_bits, order, sets
+    kept = [i for i, r in enumerate(rows) if r]
+    return core, [order[i] for i in kept], [rows[i] for i in kept]
 
 
-def _bound(sets, uncovered):
+def _bound(rows, uncovered):
     """ceil(|uncovered| / best single-translate gain); None if no gain."""
-    gain = max(((s & uncovered).bit_count() for s in sets.values()), default=0)
+    gain = max(((r & uncovered).bit_count() for r in rows), default=0)
     return -(-uncovered.bit_count() // gain) if gain else None
 
 
@@ -97,31 +108,30 @@ def min_translate_cover(A: DenseSet, model, core=None, shifts=None,
     """
     if t_max < 0:
         raise ValueError(f"t_max must be >= 0, got {t_max}")
-    core, core_bits, order, sets = _cover_problem(A, model, core, shifts)
-    counting_lb = _bound(sets, core_bits)
-    union = 0
-    for s in sets.values():
-        union |= s
-    if union != core_bits:
-        missing = core_bits & ~union
-        elem = (missing & -missing).bit_length() - 1
-        return Infeasible(lower_bound=counting_lb, uncovered_element=elem)
+    core, order, rows = _cover_problem(A, model, core, shifts)
+    lo, hi = core
+    full = (1 << (hi - lo)) - 1
+    counting_lb = _bound(rows, full)
+    missing = full & ~reduce(operator.or_, rows, 0)
+    if missing:
+        return Infeasible(lower_bound=counting_lb,
+                          uncovered_element=lo + (missing & -missing).bit_length() - 1)
 
     greedy_cover = []
     covered = 0
-    while covered != core_bits:
-        best_g, best_gain = None, 0
-        for g in order:
-            gain = (sets[g] & ~covered).bit_count()
+    while covered != full:
+        best, best_gain = None, 0
+        for i, r in enumerate(rows):
+            gain = (r & ~covered).bit_count()
             if gain > best_gain:
-                best_g, best_gain = g, gain
-        greedy_cover.append(best_g)
-        covered |= sets[best_g]
+                best, best_gain = i, gain
+        greedy_cover.append(best)
+        covered |= rows[best]
 
     if mode == "greedy":
         if len(greedy_cover) > t_max:
             return Infeasible(lower_bound=counting_lb, uncovered_element=None)
-        return _certificate(sorted(greedy_cover), sets, core,
+        return _certificate(order, rows, sorted(greedy_cover), core,
                             optimal=False, method="greedy")
     if mode != "exact":
         raise ValueError(f"unknown mode {mode!r}")
@@ -131,21 +141,17 @@ def min_translate_cover(A: DenseSet, model, core=None, shifts=None,
     # reported Infeasible, so no t beyond either is asked about
     if counting_lb > t_max:
         return Infeasible(lower_bound=counting_lb, uncovered_element=None)
-    lo, hi = core
-    rows = [sets[g] >> lo for g in order]
     masks = _shift_masks(rows, hi - lo)
-    uncovered = core_bits >> lo
     every = (1 << len(order)) - 1
     t_star = len(greedy_cover)
     for t in range(counting_lb, min(t_star, t_max + 1)):
-        if _exists_cover(rows, masks, uncovered, every, t):
+        if _exists_cover(rows, masks, full, every, t):
             t_star = t
             break
     if t_star > t_max:
         return Infeasible(lower_bound=max(counting_lb, t_max + 1),
                           uncovered_element=None)
-    final = _lex_min_cover(rows, masks, uncovered, t_star)
-    return _certificate([order[i] for i in final], sets, core,
+    return _certificate(order, rows, _lex_min_cover(rows, masks, full, t_star), core,
                         optimal=True, method="exact")
 
 
@@ -247,15 +253,17 @@ def _lex_min_cover(rows, masks, uncovered, t_star):
     return chosen
 
 
-def _certificate(chosen, sets, core, optimal, method):
+def _certificate(order, rows, chosen, core, optimal, method):
+    """The cover by the increasing shift indices ``chosen``: each core
+    element's witness index names the first chosen row that holds it."""
     lo, hi = core
-    witness = []
-    for e in range(lo, hi):
-        for idx, g in enumerate(chosen):
-            if (sets[g] >> e) & 1:
-                witness.append(idx)
-                break
-    return CoverCertificate(tuple(chosen), core, tuple(witness),
+    witness = [None] * (hi - lo)
+    left = (1 << (hi - lo)) - 1
+    for idx, i in enumerate(chosen):
+        for e in iter_bits(rows[i] & left):
+            witness[e] = idx
+        left &= ~rows[i]
+    return CoverCertificate(tuple(order[i] for i in chosen), core, tuple(witness),
                             optimal=optimal, method=method)
 
 
@@ -263,7 +271,8 @@ def verify_cover(cert: CoverCertificate, A: DenseSet, model) -> bool:
     """Element-by-element recheck of a cover certificate.
 
     False, never an exception, on a malformed certificate: a non-integer
-    core bound, translate or index, or a translate outside a Cayley group.
+    core bound, translate or index, translates not strictly increasing, or
+    on a Cayley group a core short of the group or a translate outside it.
     """
     if A.model != model:
         raise ModelMismatch("set and model disagree")
@@ -275,7 +284,8 @@ def verify_cover(cert: CoverCertificate, A: DenseSet, model) -> bool:
         return False
     if not (0 <= lo < hi <= model.carrier_size) or len(witness) != hi - lo:
         return False
-    if isinstance(model, CayleyGroup) and not all(0 <= g < model.order for g in shifts):
+    if any(g >= h for g, h in zip(shifts, shifts[1:])) or isinstance(model, CayleyGroup) and (
+            (lo, hi) != (0, model.order) or not all(0 <= g < hi for g in shifts)):
         return False
     if not all(0 <= i < len(shifts) for i in witness):
         return False
@@ -285,8 +295,8 @@ def verify_cover(cert: CoverCertificate, A: DenseSet, model) -> bool:
 
 def counting_lower_bound(A: DenseSet, model, core, shifts=None) -> int:
     """ceil(|core| / max_g |gA ∩ core|), a lower bound on any cover size."""
-    _, core_bits, _, sets = _cover_problem(A, model, core, shifts)
-    lb = _bound(sets, core_bits)
+    (lo, hi), _, rows = _cover_problem(A, model, core, shifts)
+    lb = _bound(rows, (1 << (hi - lo)) - 1)
     if lb is None:
         raise BadCore("no translate meets the core")
     return lb

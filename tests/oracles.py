@@ -12,6 +12,7 @@ from itertools import accumulate, chain
 import numpy as np
 
 from sumcore import (
+    CoverCertificate,
     DefinableWitness,
     DenseSet,
     FamilyDescriptor,
@@ -24,9 +25,8 @@ from sumcore import (
     UpgradeResult,
     ZWindow,
 )
-from sumcore.cover import _bound, _certificate, _cover_problem
-from sumcore.errors import ModelMismatch, SumcoreError
-from sumcore.model import Relation, iter_bits
+from sumcore.errors import BadCore, ModelMismatch, SumcoreError
+from sumcore.model import CayleyGroup, Relation, iter_bits, translate
 from sumcore.search import Budget, preorder
 from sumcore.setspec import splitmix_stream
 
@@ -149,8 +149,9 @@ def scan_definable_search(A: DenseSet, model, family, n: int,
 
 
 def brute_cover(cert, A, model):
-    """Verdict on a CoverCertificate: every core element e lies in g*A for
-    the translate g its witness index names, i.e. e = g*a for a member a."""
+    """Verdict on a CoverCertificate: the translates are strictly increasing,
+    and every core element e lies in g*A for the translate g its witness
+    index names, i.e. e = g*a for a member a."""
     lo, hi = cert.core
     if not all(isinstance(x, int) for x in (lo, hi, *cert.translates, *cert.witness_index)):
         return False
@@ -158,8 +159,12 @@ def brute_cover(cert, A, model):
         return False
     if len(cert.witness_index) != hi - lo:
         return False
-    # on a Cayley group every translate is a group element
-    if hasattr(model, "table") and not all(is_operand(model, g) for g in cert.translates):
+    if list(cert.translates) != sorted(set(cert.translates)):
+        return False
+    # on a Cayley group the core is the whole group and every translate
+    # is a group element
+    if hasattr(model, "table") and ((lo, hi) != (0, model.carrier_size) or
+                                    not all(is_operand(model, g) for g in cert.translates)):
         return False
     members = A.members()
     for e, idx in zip(range(lo, hi), cert.witness_index):
@@ -169,6 +174,53 @@ def brute_cover(cert, A, model):
         if not any(model.op(g, a) == e for a in members):
             return False
     return True
+
+
+# The cover problem as the library built it before rows came from one
+# pass: one translate DenseSet per shift, kept whole in a {g: gA ∩ core}
+# dict, and the certificate read element by element from it.
+
+
+def _cover_problem(A, model, core, shifts):
+    """Validated core, core bitmask, sorted shifts and {g: gA ∩ core}."""
+    if A.model != model:
+        raise ModelMismatch("set and model disagree")
+    if isinstance(model, CayleyGroup):
+        core = (0, model.order)
+        shifts = range(model.order)
+    elif isinstance(model, ZWindow):
+        if core is None:
+            raise BadCore("ZWindow cover needs an explicit core region")
+        lo, hi = core
+        if not (0 <= lo < hi <= model.carrier_size):
+            raise BadCore(f"core [{lo},{hi}) not inside the carrier")
+        if shifts is None:
+            shifts = range(-(hi - 1), hi)
+    else:
+        raise ModelMismatch(f"unsupported model {model!r}")
+    lo, hi = core
+    core_bits = ((1 << hi) - 1) ^ ((1 << lo) - 1)
+    order = sorted(set(int(g) for g in shifts))
+    sets = {g: translate(A, g).bits & core_bits for g in order}
+    return core, core_bits, order, sets
+
+
+def _bound(sets, uncovered):
+    """ceil(|uncovered| / best single-translate gain); None if no gain."""
+    gain = max(((s & uncovered).bit_count() for s in sets.values()), default=0)
+    return -(-uncovered.bit_count() // gain) if gain else None
+
+
+def _certificate(chosen, sets, core, optimal, method):
+    lo, hi = core
+    witness = []
+    for e in range(lo, hi):
+        for idx, g in enumerate(chosen):
+            if (sets[g] >> e) & 1:
+                witness.append(idx)
+                break
+    return CoverCertificate(tuple(chosen), core, tuple(witness),
+                            optimal=optimal, method=method)
 
 
 def scan_min_cover(A, model, core=None, shifts=None, t_max=16):

@@ -20,7 +20,11 @@ from sumcore import (
     verify_cover,
 )
 
+from sumcore.cover import _cover_problem
+
+from . import oracles
 from .oracles import scan_min_cover
+from .test_witness import symmetric_group
 
 
 def zw(M, L):
@@ -29,6 +33,10 @@ def zw(M, L):
 
 def zn(n):
     return build_model({"kind": "cayley", "table": [list(r) for r in cyclic_table(n)]})
+
+
+# S_3 and S_4, where the left translate g·A and the right translate A·g differ
+NON_ABELIAN = [symmetric_group(3), symmetric_group(4)]
 
 
 class TestMinTranslateCover:
@@ -217,3 +225,77 @@ class TestExactEqualsScan:
             else:
                 kinds.add("uncoverable element")
         assert len(kinds) == 3
+
+    def test_equals_scan_on_non_abelian_groups(self):
+        rng = random.Random(20261020)
+        sizes = set()
+        for _ in range(80):
+            m = rng.choice(NON_ABELIAN)
+            A = DenseSet(m, rng.randint(1, (1 << m.order) - 1))
+            kw = {"t_max": rng.randint(0, m.order)}
+            res = min_translate_cover(A, m, **kw)
+            assert res == scan_min_cover(A, m, **kw), (A, m, kw)
+            if isinstance(res, CoverCertificate):
+                sizes.add((m.order, res.t))
+        assert {n for n, _ in sizes} == {6, 24} and len(sizes) > 4
+
+    def test_wide_shift_range_equals_scan(self):
+        # all but 127 of the 200,000 shifts slide A off the core
+        m = zw(64, 32)
+        A = generate_set(m, Multiples(3))
+        for t_max in (2, 3):
+            kw = {"core": (0, 64), "shifts": range(-100000, 100000), "t_max": t_max}
+            res = min_translate_cover(A, m, **kw)
+            assert res == min_translate_cover(A, m, core=(0, 64), shifts=range(-63, 64),
+                                              t_max=t_max)
+            if t_max == 2:
+                assert res == scan_min_cover(A, m, **kw)
+            else:
+                assert res.translates == (-2, -1, 0)
+
+
+class TestRows:
+    """``_cover_problem``'s rows against the translate-per-shift build kept
+    in ``tests/oracles.py``: bit e of the row of g is core element lo + e of
+    g·A, and shifts whose translate misses the core are dropped."""
+
+    @staticmethod
+    def expected(A, model, core, shifts):
+        """Core, shifts and rows read from ``translate(A, g).bits & core_bits``."""
+        core, _, order, sets = oracles._cover_problem(A, model, core, shifts)
+        kept = [g for g in order if sets[g]]
+        return core, kept, [sets[g] >> core[0] for g in kept]
+
+    @pytest.mark.parametrize("members", [[], range(64), [0], [63], [0, 63],
+                                         range(5, 40, 3), "random"])
+    def test_zwindow_rows(self, members):
+        m = zw(64, 32)
+        if members == "random":
+            rng = random.Random(7)
+            members = [x for x in range(64) if rng.random() < 0.4]
+        A = DenseSet.from_members(m, members)
+        far = [-(1 << 62), -65, -64, -63, 63, 64, 65, 1 << 62]
+        for core in [(0, 64), (0, 1), (0, 10), (54, 64), (63, 64), (20, 30)]:
+            for shifts in [range(-200, 200), range(-70, -1), range(3, 9), far,
+                           [5, -5, 5, 0], []]:
+                got = _cover_problem(A, m, core, shifts)
+                assert got == self.expected(A, m, core, shifts), (members, core, shifts)
+            assert _cover_problem(A, m, core, None) == self.expected(A, m, core, None)
+
+    @pytest.mark.parametrize("model", [zn(1), zn(12), zn(96), *NON_ABELIAN],
+                             ids=["z1", "z12", "z96", "s3", "s4"])
+    def test_cayley_rows(self, model):
+        n = model.order
+        rng = random.Random(n)
+        sets = [0, (1 << n) - 1, 1, 1 << (n - 1)] + [rng.getrandbits(n) for _ in range(5)]
+        for bits in sets:
+            A = DenseSet(model, bits)
+            assert _cover_problem(A, model, None, None) == self.expected(A, model, None, None)
+
+    def test_non_abelian_rows_are_left_translates(self):
+        m = symmetric_group(4)
+        A = DenseSet.from_members(m, [0, 1, 5, 9])
+        _, order, rows = _cover_problem(A, m, None, None)
+        right = [DenseSet.from_members(m, [m.op(a, g) for a in A.members()]).bits
+                 for g in order]
+        assert rows != right

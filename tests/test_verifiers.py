@@ -14,6 +14,7 @@ from dataclasses import replace
 import pytest
 
 from sumcore import (
+    CoverCertificate,
     DefinableWitness,
     DenseSet,
     FamilyDescriptor,
@@ -214,13 +215,23 @@ def test_cover_mutations(kind, k):
     T, W = cert.translates, cert.witness_index
     lo, hi = cert.core
     mid = len(W) // 2
-    variants = [cert, replace(cert, translates=T[::-1]),
+    part = replace(cert, core=(lo + 1, hi), witness_index=W[1:])
+    variants = [cert, part, replace(cert, translates=T[::-1]),
                 replace(cert, translates=T[:-1] + (T[0],)),
                 replace(cert, translates=T[:-1]),
                 replace(cert, witness_index=W[:-1]),
                 replace(cert, witness_index=W + (0,)),
                 replace(cert, core=(lo, hi + 1)),
-                replace(cert, core=(lo + 1, hi))]
+                replace(cert, core=(lo + 1, hi)),
+                # part (above) and this cover part of the core: valid in a
+                # window, not in a group
+                replace(cert, core=(lo, hi - 1), witness_index=W[:-1]),
+                # the same cover with its translates reordered or one repeated
+                replace(cert, translates=T[::-1],
+                        witness_index=tuple(len(T) - 1 - i for i in W)),
+                replace(cert, translates=T + (T[-1],)),
+                replace(cert, translates=(T[0],) + T,
+                        witness_index=tuple(i + 1 for i in W))]
     for pos in range(len(T)):
         for d in (-1, 1):
             variants.append(replace(cert, translates=T[:pos] + (T[pos] + d,) + T[pos + 1:]))
@@ -229,12 +240,25 @@ def test_cover_mutations(kind, k):
     variants += [replace(cert, translates=(float(T[0]),) + T[1:]),
                  replace(cert, translates=T[:-1] + (T[-1] + 0.5,)),
                  replace(cert, core=(float(lo), hi))]
-    assert verify_cover(cert, A, model)
+    assert len(T) > 1 and verify_cover(cert, A, model)
     for c in variants:
         verdict = verify_cover(c, A, model)
         assert verdict == brute_cover(c, A, model), c
-        if kind == "zmod" and outside_carrier(model, c.translates):
+        if kind == "zmod" and (outside_carrier(model, c.translates) or c.core != (0, n)):
             assert verdict is False, c
+        if sorted(set(c.translates)) != list(c.translates):
+            assert verdict is False, c
+    assert verify_cover(part, A, model) is (kind == "zwindow")
+
+
+def test_partial_cayley_core_is_rejected():
+    # element 1 of Z_64 lies in 0·A, but a cover of the group must cover all of it
+    model = build_model({"kind": "cayley", "table": [list(r) for r in cyclic_table(64)]})
+    A = DenseSet.from_members(model, range(1, 64, 4))
+    cert = CoverCertificate((0,), (1, 2), (0,), True, "exact")
+    assert not verify_cover(cert, A, model)
+    assert not brute_cover(cert, A, model)
+    assert verify_cover(min_translate_cover(A, model), A, model)
 
 
 @pytest.mark.parametrize("k", [5, 70])
@@ -247,12 +271,18 @@ def test_far_translate_is_answered_like_an_edge_shift(k, far):
     cert = min_translate_cover(A, model, core=(0, n), shifts=range(-n, n))
     T, W = cert.translates, cert.witness_index
     edge = n if far > 0 else -n
-    for witness in (W, W[:-1] + (len(T),)):
-        verdict = verify_cover(replace(cert, translates=T + (far,), witness_index=witness),
-                               A, model)
-        assert verdict is verify_cover(replace(cert, translates=T + (edge,),
-                                               witness_index=witness), A, model)
-        assert verdict is (witness == W)
+    # the extra translate goes last if positive, first if negative, so the
+    # translates stay increasing
+    extra, good = (len(T), W) if far > 0 else (0, tuple(i + 1 for i in W))
+
+    def with_extra(g, witness):
+        translates = T + (g,) if g > 0 else (g,) + T
+        return replace(cert, translates=translates, witness_index=witness)
+
+    for witness in (good, good[:-1] + (extra,)):
+        verdict = verify_cover(with_extra(far, witness), A, model)
+        assert verdict is verify_cover(with_extra(edge, witness), A, model)
+        assert verdict is (witness == good)
 
 
 @pytest.mark.parametrize("bad", [-1, 2.0, 2.5])

@@ -29,7 +29,7 @@ from functools import reduce
 import numpy as np
 
 from .errors import BadCore, ModelMismatch
-from .model import CayleyGroup, DenseSet, ZWindow, iter_bits, translate
+from .model import CayleyGroup, DenseSet, ZWindow, ints, iter_bits, translate
 from .search import preorder
 
 
@@ -60,6 +60,9 @@ def _cover_problem(A, model, core, shifts):
         raise ModelMismatch("set and model disagree")
     if isinstance(model, CayleyGroup):
         n = model.order
+        if shifts is not None or core is not None and tuple(core) != (0, n):
+            raise BadCore(f"a cover of a Cayley group takes no shifts and no core "
+                          f"but the whole group (0, {n})")
         core, order = (0, n), range(n)
         grid = np.zeros((n, n), dtype=bool)  # one scatter: row g is g·A
         grid[np.arange(n)[:, None], model._table_array] = A.to_numpy()
@@ -71,7 +74,9 @@ def _cover_problem(A, model, core, shifts):
         lo, hi = core
         if not (0 <= lo < hi <= model.carrier_size):
             raise BadCore(f"core [{lo},{hi}) not inside the carrier")
-        order = range(1 - hi, hi) if shifts is None else sorted(set(int(g) for g in shifts))
+        order = range(1 - hi, hi) if shifts is None else shifts
+        if not (isinstance(order, range) and order.step > 0):
+            order = sorted(set(int(g) for g in order))  # as a range of step > 0 is
         # only lo - max A <= g < hi - min A moves a member into the core, and
         # the row of g is a shift of A's bits cut once to [lo - g_max, hi - g_min)
         order = order[bisect_left(order, lo + 1 - A.bits.bit_length()):
@@ -99,8 +104,11 @@ def min_translate_cover(A: DenseSet, model, core=None, shifts=None,
 
     ZWindow models require an explicit ``core = (lo, hi)``; ``shifts``
     defaults to the symmetric range (-(hi-1), hi) but may be any
-    iterable of integer shifts.  CayleyGroup models cover the whole
-    group with left translates g*A over all g.
+    iterable of integer shifts (a ``range`` of positive step is bisected,
+    not listed).  CayleyGroup models cover the whole group with left
+    translates g*A over all g; any ``shifts``, or a ``core`` other than
+    (0, n), raises ``BadCore``.  An unknown ``mode`` raises ``ValueError``
+    before any work.
 
     Returns a CoverCertificate, or Infeasible carrying the counting
     lower bound ceil(|core| / max_g |gA ∩ core|) and, if some core
@@ -108,6 +116,8 @@ def min_translate_cover(A: DenseSet, model, core=None, shifts=None,
     """
     if t_max < 0:
         raise ValueError(f"t_max must be >= 0, got {t_max}")
+    if mode not in ("exact", "greedy"):
+        raise ValueError(f"unknown mode {mode!r}")
     core, order, rows = _cover_problem(A, model, core, shifts)
     lo, hi = core
     full = (1 << (hi - lo)) - 1
@@ -133,8 +143,6 @@ def min_translate_cover(A: DenseSet, model, core=None, shifts=None,
             return Infeasible(lower_bound=counting_lb, uncovered_element=None)
         return _certificate(order, rows, sorted(greedy_cover), core,
                             optimal=False, method="greedy")
-    if mode != "exact":
-        raise ValueError(f"unknown mode {mode!r}")
 
     # the optimum is the least t with a cover of size t; the greedy cover
     # answers for its own size, and covers longer than t_max are
@@ -209,10 +217,9 @@ def _exists_cover(rows, masks, uncovered, allowed, size_limit):
                     return
                 options, fewest = opts, n
             rest ^= low
-        if size_limit > 2:
-            gain = max((rows[i] & uncovered).bit_count() for i in iter_bits(meeting))
-            if -(-uncovered.bit_count() // gain) > size_limit:
-                return
+        if size_limit > 2 and \
+                _bound([rows[i] for i in iter_bits(meeting)], uncovered) > size_limit:
+            return
         for i in iter_bits(options):
             allowed ^= 1 << i
             rest = uncovered & ~rows[i]
@@ -276,12 +283,10 @@ def verify_cover(cert: CoverCertificate, A: DenseSet, model) -> bool:
     """
     if A.model != model:
         raise ModelMismatch("set and model disagree")
-    try:
-        lo, hi = map(operator.index, cert.core)
-        shifts = [operator.index(g) for g in cert.translates]
-        witness = [operator.index(i) for i in cert.witness_index]
-    except (TypeError, ValueError):
+    core, shifts, witness = map(ints, (cert.core, cert.translates, cert.witness_index))
+    if None in (core, shifts, witness) or len(core) != 2:
         return False
+    lo, hi = core
     if not (0 <= lo < hi <= model.carrier_size) or len(witness) != hi - lo:
         return False
     if any(g >= h for g, h in zip(shifts, shifts[1:])) or isinstance(model, CayleyGroup) and (

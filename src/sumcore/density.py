@@ -17,7 +17,6 @@ so the two outcomes are mutually exclusive and machine-checkable.  All
 densities are exact rationals; no floating point is involved.
 """
 
-import operator
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -25,7 +24,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import BadAlpha, BadInterval, ModelMismatch, WindowTooLarge
-from .model import DenseSet, ZWindow
+from .model import DenseSet, ZWindow, ints
 
 
 @dataclass(frozen=True)
@@ -166,66 +165,50 @@ def _sparse(cnt, length, alpha, top):
     return 2 * cnt * ad < an * length
 
 
-def _well_typed(alpha, *ints):
-    """alpha is a Fraction and every other field an integer."""
-    try:
-        for x in ints:
-            operator.index(x)
-    except TypeError:
-        return False
-    return isinstance(alpha, Fraction)
-
-
 def verify_good_point(gp: GoodPoint, A: DenseSet) -> bool:
     """Recheck the prefix-density invariant of a good point from the bitset;
     False on a malformed one."""
-    if not _well_typed(gp.alpha, gp.x, gp.horizon, *gp.interval):
+    fields = ints([gp.x, gp.horizon] + (ints(gp.interval) or []))
+    if fields is None or len(fields) != 4 or not isinstance(gp.alpha, Fraction):
         return False
+    x, N, a, b = fields
     M = A.model.carrier_size
-    if gp.x + gp.horizon > M:
+    if x + N > M:
         raise ModelMismatch("good point horizon leaves the carrier")
-    a, b = gp.interval
-    if gp.horizon < 1 or not (0 <= a <= gp.x and gp.x + gp.horizon <= b <= M):
+    if N < 1 or not (0 <= a <= x and x + N <= b <= M):
         return False
     p = A.prefix_counts()
-    base = p[gp.x]
-    cnt = p[gp.x + 1:gp.x + gp.horizon + 1] - base
-    n = np.arange(1, gp.horizon + 1)
-    return not _sparse(cnt, n, gp.alpha, gp.horizon).any()
+    cnt = p[x + 1:x + N + 1] - p[x]
+    return not _sparse(cnt, np.arange(1, N + 1), gp.alpha, N).any()
 
 
 def verify_density_certificate(cert: PartitionCertificate, A: DenseSet) -> bool:
     """Recheck every PartitionCertificate invariant against A's bitset;
     False on a malformed certificate."""
-    if cert.carrier_size != A.model.carrier_size:
-        raise ModelMismatch("certificate built over a different carrier")
-    if not _well_typed(cert.alpha, cert.horizon, *cert.interval):
+    fields = ints([cert.carrier_size, cert.horizon] + (ints(cert.interval) or []))
+    if fields is None or len(fields) != 4 or not isinstance(cert.alpha, Fraction):
         return False
-    a, b = cert.interval
+    size, N, a, b = fields
     M = A.model.carrier_size
-    if not (0 <= a < b <= M):
+    if size != M:
+        raise ModelMismatch("certificate built over a different carrier")
+    try:
+        at = np.asarray(cert.cuts)  # int64 unless some cut is not an int64
+    except ValueError:  # ragged: some cut is a sequence
         return False
-    cuts = cert.cuts
-    if len(cuts) < 2 or cuts[0] != a or cuts[-1] != b:
+    if not (0 <= a < b <= M) or at.dtype.kind != "i" or at.ndim != 1 or len(at) < 2:
         return False
-    at = np.asarray(cuts)  # int64 unless some cut is not an int64
-    if at.dtype.kind != "i" or not (np.diff(at) > 0).all():
+    if at[0] != a or at[-1] != b or not (np.diff(at) > 0).all():
         return False
-    if len(cert.block_counts) != len(cuts) - 1:
-        return False
-    p = A.prefix_counts()
-    pc = p[at]
+    pc = A.prefix_counts()[at]
     cnt = np.diff(pc)
-    if list(cert.block_counts) != cnt.tolist():
+    if ints(cert.block_counts) != cnt.tolist():
         return False
     length = np.diff(at)
-    N = cert.horizon
     sparse = (length <= N) & _sparse(cnt, length, cert.alpha, b - a)
     # every block is sparse, except that the last may close with length < N
     if not (sparse[:-1].all() and (length[-1] < N or sparse[-1])):
         return False
     total = int(pc[-1] - pc[0])
     # implied bound, exact: total/(b-a) < alpha/2 + N/(b-a)
-    if Fraction(total, b - a) >= cert.alpha / 2 + Fraction(N, b - a):
-        return False
-    return True
+    return Fraction(total, b - a) < cert.alpha / 2 + Fraction(N, b - a)

@@ -69,6 +69,17 @@ def from_mask(mask):
     return int.from_bytes(raw, "little")
 
 
+def ints(values):
+    """``values`` as a list of Python ints, or None when it is not iterable
+    or holds a non-integer.  ``operator.index`` decides, so numpy integers
+    and bools pass and floats and strings do not: the one integer gate for
+    every certificate field."""
+    try:
+        return list(map(operator.index, values))
+    except TypeError:
+        return None
+
+
 def bits_of(indices):
     """The big-int bitset with bit i set for each non-negative integer i."""
     idx = np.asarray(list(indices))
@@ -140,7 +151,7 @@ def build_model(desc):
 
     ``desc`` is a mapping with ``kind`` equal to ``"zwindow"`` (fields
     ``M``, ``L``) or ``"cayley"`` (field ``table``, a square list of
-    element indices).
+    integer element indices).
     """
     kind = desc.get("kind")
     if kind == "zwindow":
@@ -149,7 +160,10 @@ def build_model(desc):
             raise BadBounds(f"need 2 <= L <= M/2, got M={M}, L={L}")
         return ZWindow(M, L)
     if kind == "cayley":
-        table = tuple(tuple(int(x) for x in row) for row in desc["table"])
+        rows = [ints(row) for row in desc["table"]]
+        if None in rows:
+            raise ElementOutOfRange("Cayley table entries must be integers")
+        table = tuple(map(tuple, rows))
         n = len(table)
         if n == 0 or any(len(row) != n for row in table):
             raise BadBounds("Cayley table must be square and nonempty")
@@ -336,15 +350,10 @@ class Relation:
     def operands(self, bs, cs):
         """bs and cs as lists of ints when each is a non-empty sequence of
         distinct operands (integers in the operand range), else None."""
-        out = []
-        for xs in (bs, cs):
-            try:
-                xs = [operator.index(x) for x in xs]
-            except TypeError:
-                return None
+        out = [ints(bs), ints(cs)]
+        for xs in out:
             if not xs or len(set(xs)) < len(xs) or min(xs) < 0 or max(xs) >= self.bound:
                 return None
-            out.append(xs)
         return out
 
     def certifies(self, bs, cs, pattern):

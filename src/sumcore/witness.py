@@ -31,7 +31,6 @@ candidate of a pick in one pass, ``Relation.overlaps``.  The definable
 search ANDs slices of A's bool view, one pass per step pair.
 """
 
-import operator
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import islice
@@ -40,7 +39,7 @@ import numpy as np
 
 from .errors import InvalidInput, ModelMismatch
 from .ladder import LadderCertificate
-from .model import DenseSet, Relation, ZWindow, bits_of, iter_bits
+from .model import DenseSet, Relation, ZWindow, bits_of, ints, iter_bits
 # bench/tracing.py wraps ``sumcore.witness.quotient`` by name
 from .model import quotient  # noqa: F401
 from .search import Budget, preorder
@@ -502,13 +501,11 @@ def verify_upgrade(res: UpgradeResult, A: DenseSet, model) -> bool:
         cert, verify = res.ladder, verify_ladder
     else:
         return False
-    try:
-        ints = [operator.index(i) for i in res.indices]
-        one_per_pair = isinstance(res.indices, tuple) and len(ints) == len(cert.b)
-    except TypeError:
+    indices = ints(res.indices) if isinstance(res.indices, tuple) else None
+    if indices is None or len(indices) != len(ints(cert.b) or ()):
         return False
-    increasing = all(i < j for i, j in zip([-1] + ints, ints))  # and non-negative
-    return one_per_pair and increasing and verify(cert, A, model)
+    increasing = all(i < j for i, j in zip([-1] + indices, indices))  # and non-negative
+    return increasing and verify(cert, A, model)
 
 
 # --- definable witnesses --------------------------------------------------------
@@ -588,10 +585,10 @@ def verify_definable_witness(w: DefinableWitness, A: DenseSet, model) -> bool:
     if w.family not in ("intervals", "aps"):
         return False
     for t in (w.theta1, w.theta2):
-        try:
-            start, step, length = map(operator.index, (t.start, t.step, t.length))
-        except TypeError:
+        fields = ints((t.start, t.step, t.length)) if isinstance(t, FamilyDescriptor) else None
+        if fields is None:
             return False
+        start, step, length = fields
         # operands lie in [0, L); intervals are progressions of step 1
         if length < 1 or step < 1 or (w.family == "intervals" and step != 1):
             return False

@@ -210,6 +210,28 @@ class TestSubcommands:
         assert rep["kind"] == "error"
         assert rep["error"]["type"] == "ParseError"
 
+    def test_cayley_cover_knobs_exit_2(self, capsys):
+        for knob in (("--core", "1,3"), ("--shifts=0,3",)):
+            code, out = run_cli(capsys, "syndetic", "--model", "zmod:6",
+                                "--set", "multiples(2)", *knob)
+            assert code == 2
+            assert json.loads(out)["error"]["type"] == "BadCore"
+
+    def test_huge_shift_range(self, capsys):
+        code, out = run_cli(capsys, "syndetic", "--model", "zwindow:64:32",
+                            "--set", "multiples(3)", "--core", "0,64",
+                            "--shifts=-1000000000000,1000000000000", "--t-max", "3")
+        assert code == 0
+        assert json.loads(out)["result"] == {"status": "covered", "t": 3, "optimal": True}
+
+    def test_non_integer_table_entry_exit_2(self, capsys, tmp_path):
+        path = tmp_path / "table.json"
+        path.write_text("[[0, 1.5], [1, 0]]")
+        code, out = run_cli(capsys, "density", "--model", f"cayley:{path}",
+                            "--set", "multiples(2)")
+        assert code == 2
+        assert json.loads(out)["error"]["type"] == "ElementOutOfRange"
+
     def test_bad_model_exit_code(self, capsys):
         code, out = run_cli(capsys, "density", "--model", "zwindow:100:80",
                             "--set", "pow2", "--n", "4")

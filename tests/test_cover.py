@@ -168,6 +168,28 @@ class TestMinTranslateCover:
                 exact = min_translate_cover(A, m, t_max=n)
                 assert exact.translates == brute_min_cover(A, m)
 
+    def test_cayley_cover_takes_no_core_or_shifts(self):
+        # both were ignored before: the group was covered whatever they said
+        m = zn(6)
+        A = DenseSet.from_members(m, [0, 2, 4])
+        whole = min_translate_cover(A, m)
+        for kw in ({"core": (1, 3), "shifts": [5]}, {"core": (1, 3)}, {"shifts": [5]},
+                   {"shifts": range(6)}, {"core": (0, 5)}):
+            with pytest.raises(BadCore):
+                min_translate_cover(A, m, **kw)
+            with pytest.raises(BadCore):
+                counting_lower_bound(A, m, kw.get("core"), kw.get("shifts"))
+        assert min_translate_cover(A, m, core=(0, 6)) == whole
+        assert counting_lower_bound(A, m, (0, 6)) == counting_lower_bound(A, m, None) == 2
+
+    @pytest.mark.parametrize("mode", ["bogus", "Exact", None])
+    def test_unknown_mode_is_rejected_first(self, mode):
+        # "bogus" answered Infeasible here before, and raised only after the greedy
+        m = zw(64, 32)
+        with pytest.raises(ValueError, match="mode"):
+            min_translate_cover(DenseSet.from_members(m, [0]), m, core=(0, 64),
+                                shifts=[0], mode=mode)
+
     def test_counting_bound_validates_like_cover(self):
         m = zw(1000, 500)
         A = generate_set(m, parse_set_spec("bernoulli(0.3,11)"))
@@ -252,6 +274,26 @@ class TestExactEqualsScan:
                 assert res == scan_min_cover(A, m, **kw)
             else:
                 assert res.translates == (-2, -1, 0)
+
+
+    @pytest.mark.parametrize("shifts, same", [
+        (range(-10**12, 10**12), range(-200, 200)),
+        (range(-200, 200), list(range(-200, 200))),
+        (range(-201, 200, 3), list(range(-201, 200, 3))),
+        (range(200, -200, -1), list(range(-199, 201))),
+        (range(7, 7), []),
+    ])
+    def test_shift_range_equals_its_list(self, shifts, same):
+        # a range of positive step is bisected as is, never listed
+        m = zw(64, 32)
+        A = generate_set(m, Multiples(3))
+        for mode in ("exact", "greedy"):
+            kw = {"core": (0, 64), "t_max": 3, "mode": mode}
+            assert min_translate_cover(A, m, shifts=shifts, **kw) == \
+                min_translate_cover(A, m, shifts=same, **kw)
+        if shifts:
+            assert counting_lower_bound(A, m, (0, 64), shifts) == \
+                counting_lower_bound(A, m, (0, 64), same)
 
 
 class TestRows:

@@ -75,6 +75,19 @@ class TestBuildModel:
         with pytest.raises(ElementOutOfRange):
             build_model({"kind": "cayley", "table": [[0, 1], [1, 7]]})
 
+    @pytest.mark.parametrize("entry", [1.7, 1.0, "1", None])
+    def test_non_integer_entry(self, entry):
+        # int() truncated 1.7 to 1 and parsed "1": both built Z_2
+        with pytest.raises(ElementOutOfRange):
+            build_model({"kind": "cayley", "table": [[0, entry], [1, 0]]})
+        with pytest.raises(ElementOutOfRange):
+            build_model({"kind": "cayley", "table": [[0, 1], entry]})
+
+    def test_numpy_and_bool_entries_are_integers(self):
+        z2 = build_model({"kind": "cayley", "table": [[0, 1], [1, 0]]})
+        assert build_model({"kind": "cayley", "table": np.array([[0, 1], [1, 0]])}) == z2
+        assert build_model({"kind": "cayley", "table": [[False, True], [True, False]]}) == z2
+
 
 class TestDenseSet:
     def test_cardinality_matches_popcount(self):

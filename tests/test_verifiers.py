@@ -10,6 +10,7 @@ oracle that reads b*c in A from ``model.op`` alone.
 
 import random
 from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 
@@ -25,10 +26,13 @@ from sumcore import (
     UpgradeResult,
     build_model,
     cyclic_table,
+    find_regular_point,
     min_translate_cover,
     ramsey_upgrade,
     verify_cover,
     verify_definable_witness,
+    verify_density_certificate,
+    verify_good_point,
     verify_ladder,
     verify_square_witness,
     verify_triangular_witness,
@@ -338,3 +342,90 @@ def test_upgrade_with_malformed_indices_is_false():
                         (0, 1.0, 2), ("0", 1, 2), [0, 1, 2], None, 3]:
             assert verify_upgrade(replace(res, indices=indices), B, model) is False, indices
         assert verify_upgrade(replace(res, indices=(2, 7, 40)), B, model)
+
+
+# --- malformed integer fields: False, never an exception ------------------------
+
+
+def honest_certificates():
+    """name -> (verify, certificate, its integer fields), with ``verify``
+    bound to the certificate's set and model; a field ``a.b`` is field b of
+    the certificate in field a."""
+    model, A, sq, lad = case("zwindow", 5)
+    zmod, A_zmod, _, _ = case("zmod", 5)
+    n = model.carrier_size
+    D = DenseSet.from_members(model, range(0, n, 3))
+    sides = [f"{t}.{f}" for t in ("theta1", "theta2") for f in ("start", "step", "length")]
+    certs = {
+        "square": (verify_square_witness, SquareWitness(*sq), ("b", "c")),
+        "triangular": (verify_triangular_witness, TriangularWitness(*sq), ("b", "c")),
+        "ladder": (verify_ladder, LadderCertificate(*lad), ("b", "c")),
+        "upgrade-square": (verify_upgrade, ramsey_upgrade(TriangularWitness(*sq), A, model),
+                           ("indices", "square.b", "square.c")),
+        "upgrade-ladder": (verify_upgrade, ramsey_upgrade(TriangularWitness(*lad), A, model),
+                           ("indices", "ladder.b", "ladder.c")),
+        "definable": (verify_definable_witness,
+                      DefinableWitness("intervals", FamilyDescriptor(5, 1, 5),
+                                       FamilyDescriptor(0, 1, 5)), sides),
+        "cover": (verify_cover,
+                  min_translate_cover(A, model, core=(0, n), shifts=range(-n, n)),
+                  ("translates", "core", "witness_index")),
+    }
+    out = {name: (lambda c, v=v: v(c, A, model), cert, fields)
+           for name, (v, cert, fields) in certs.items()}
+    out["cover-zmod"] = (lambda c: verify_cover(c, A_zmod, zmod),
+                         min_translate_cover(A_zmod, zmod),
+                         ("translates", "core", "witness_index"))
+    out["good-point"] = (lambda c: verify_good_point(c, A),
+                         find_regular_point(A, (0, n), Fraction(1, 2), 4),
+                         ("x", "horizon", "interval"))
+    out["partition"] = (lambda c: verify_density_certificate(c, D),
+                        find_regular_point(D, (0, n), Fraction(1), 4),
+                        ("interval", "horizon", "carrier_size", "cuts", "block_counts"))
+    return out
+
+
+HONEST = honest_certificates()
+PAIRS = ("core", "interval")
+
+
+def bent(value, pair):
+    """(label, value): malformed stand-ins for an integer field.  A float, a
+    string and None replace an integer, or a sequence's last entry; None
+    replaces a whole sequence; a pair also gets a tuple of each wrong length."""
+    if not isinstance(value, tuple):
+        return [("float", float(value)), ("str", str(value)), ("None", None)]
+    out = [(f"last {label}", value[:-1] + (x,)) for label, x in bent(value[-1], False)]
+    out.append(("None", None))
+    if pair:
+        out += [("1-tuple", value[:1]), ("3-tuple", value + (value[-1],))]
+    return out
+
+
+def put(cert, field, value):
+    """cert with the field ``field`` (``a.b`` nested) set to value."""
+    head, _, rest = field.partition(".")
+    return replace(cert, **{head: put(getattr(cert, head), rest, value) if rest else value})
+
+
+def get(cert, field):
+    for name in field.split("."):
+        cert = getattr(cert, name)
+    return cert
+
+
+MALFORMED = [pytest.param(name, field, value, id=f"{name}-{field}-{label}")
+             for name, (_, cert, fields) in HONEST.items() for field in fields
+             for label, value in bent(get(cert, field), field in PAIRS)]
+MALFORMED += [pytest.param("definable", side, value, id=f"definable-{side}-{label}")
+              for side in ("theta1", "theta2")
+              for label, value in (("None", None), ("tuple", (0, 1, 5)))]
+RAGGED = (0, (3, 4)) + HONEST["partition"][1].cuts[2:]
+MALFORMED.append(pytest.param("partition", "cuts", RAGGED, id="partition-cuts-ragged"))
+
+
+@pytest.mark.parametrize("name, field, value", MALFORMED)
+def test_malformed_integer_field_is_false(name, field, value):
+    verify, cert, _ = HONEST[name]
+    assert verify(cert) is True
+    assert verify(put(cert, field, value)) is False

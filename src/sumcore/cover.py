@@ -76,7 +76,10 @@ def _cover_problem(A, model, core, shifts):
             raise BadCore(f"core [{lo},{hi}) not inside the carrier")
         order = range(1 - hi, hi) if shifts is None else shifts
         if not (isinstance(order, range) and order.step > 0):
-            order = sorted(set(int(g) for g in order))  # as a range of step > 0 is
+            order = ints(order)
+            if order is None:
+                raise BadCore("shifts must be integers")
+            order = sorted(set(order))  # as a range of step > 0 is
         # only lo - max A <= g < hi - min A moves a member into the core, and
         # the row of g is a shift of A's bits cut once to [lo - g_max, hi - g_min)
         order = order[bisect_left(order, lo + 1 - A.bits.bit_length()):

@@ -7,7 +7,7 @@ Banach density at a fixed window length; no limit is taken).
 ``find_regular_point`` runs a greedy walk over an interval [a, b):
 starting at a, it repeatedly tests whether the current position x has
 some prefix [x, x+n), n <= N, of density below alpha/2.  If so it jumps
-past the sparsest-earliest such block; if not, x is a *good point* --
+past the shortest such block; if not, x is a *good point* --
 every prefix up to horizon N is (alpha/2)-dense.  If the walk runs out
 of room, the jump blocks form a partition of [a, b) that certifies
 
@@ -17,7 +17,6 @@ so the two outcomes are mutually exclusive and machine-checkable.  All
 densities are exact rationals; no floating point is involved.
 """
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -97,13 +96,27 @@ def density_schedule(A: DenseSet, lengths) -> list:
     return [banach_density(A, n) for n in lengths]
 
 
+# positions per array pass of the walk: the first pass is short, so a good
+# point near a costs little, and no pass reads more than 2^16 positions
+_FIRST_PASS, _PASS = 1 << 12, 1 << 16
+
+
 def find_regular_point(A: DenseSet, interval, alpha, N):
     """Greedy walk over [a, b): GoodPoint or PartitionCertificate.
 
     At each position x: if b - x < N the partition is closed; otherwise
     the smallest n <= N with |A ∩ [x, x+n)| < (alpha/2) n determines the
-    jump, and if no prefix fails, x is returned as a good point.  Total
-    work O(b - a + N) on top of one prefix-count pass.
+    jump, and if no prefix fails, x is returned as a good point.
+
+    With alpha = an/ad, p(j) = |A ∩ [a, a+j)| and f(j) = 2·ad·p(j) - an·j,
+    the block [i, j) is sparse iff f(j) < f(i).  So the walk steps from i
+    to the first j > i with f(j) < f(i): its positions are the strict
+    running minima of f, from f(0).  f falls by an across a non-member and
+    rises across a member, so the minima between two members m < m' are
+    the positions j in (m, m'] whose f(m') + an·(m' - j) is below the
+    minimum up to m: one run that ends at m'.  The walk finds these runs
+    in array passes over the members, at most 2^16 positions a pass, and
+    its work does not grow with N.
     """
     _require_zwindow(A)
     a, b = interval
@@ -116,53 +129,79 @@ def find_regular_point(A: DenseSet, interval, alpha, N):
     if not (1 <= N <= b - a):
         raise BadInterval(f"horizon {N} outside [1, {b - a}]")
 
-    # p[i] = |A ∩ [a, a+i)|; the walk reads Python ints, not numpy scalars
-    pc = A.prefix_counts()
-    p = (pc[a:b + 1] - pc[a]).tolist()
+    end = b - a
+    last = end - N  # the walk jumps only from i <= last, so that i + N <= end
     an, ad = alpha.numerator, alpha.denominator
-    cuts = [a]
-    counts = []
-    i, end = 0, b - a
+    dtype = _exact_dtype(alpha, end)
+    inA = A.to_numpy()[a:b]
+    pc = A.prefix_counts()[a:b + 1]
+    starts, stops = [], []  # runs [r, e] of positions the walk visits after 0
+    x = prev = 0  # the walk's latest position, the end of the last stretch read
+    low = np.zeros(1, dtype=dtype)  # min f so far, from f(0) = 0
+    lo, span = 1, _FIRST_PASS
     while True:
-        if end - i < N:
-            if i < end:
-                cuts.append(b)
-                counts.append(p[end] - p[i])
-            return PartitionCertificate(
-                (a, b), alpha, N, tuple(cuts), tuple(counts), M
-            )
-        base = p[i]
-        if p[i + 1] == base:
-            # i is not in A: [i, i+1) is sparse (alpha > 0), and so is
-            # every position up to the next member; take them in one step
-            stop = min(bisect_right(p, base, i) - 1, end - N + 1)
-            cuts.extend(range(a + i + 1, a + stop + 1))
-            counts.extend([0] * (stop - i))
-            i = stop
-            continue
-        jump = 0
-        for n in range(1, N + 1):
-            # density < alpha/2  <=>  2 * cnt * ad < an * n
-            if 2 * (p[i + n] - base) * ad < an * n:
-                jump = n
-                break
-        if jump == 0:
-            return GoodPoint(a + i, alpha, N, (a, b))
-        i += jump
-        cuts.append(a + i)
-        counts.append(p[i] - base)
+        hi = min(end, lo + span)
+        # stretches (prev, e]: each ends at a member in [lo, hi) or at hi itself
+        e = np.append(lo + np.flatnonzero(inA[lo:hi]), hi)
+        fe = (pc[e] - pc[0]).astype(dtype, copy=False) * (2 * ad) \
+            - e.astype(dtype, copy=False) * an
+        before = np.minimum.accumulate(np.concatenate((low, fe)))
+        low = before[-1:]
+        # j in (prev, e] is a new minimum iff e - j < (min before - f(e)) / an:
+        # the walk jumps from src to r, then visits the run [r, e] in unit steps
+        new = np.minimum(np.diff(e, prepend=prev), -((fe - before[:-1]) // an))
+        keep = new > 0
+        e = e[keep]
+        r = e - new[keep].astype(np.int64) + 1
+        src = np.concatenate(([x], e[:-1]))
+        prev = hi
+        close = int(np.searchsorted(e, last, "right"))  # e[close] is past last
+        wide = np.flatnonzero(r[:close + 1] - src[:close + 1] > N)
+        if wide.size:
+            return GoodPoint(a + int(src[wide[0]]), alpha, N, (a, b))
+        if close < len(e):  # the first position past last closes the walk
+            starts.append(r[:close + 1])
+            stops.append(np.append(e[:close], max(r[close], last + 1)))
+            break
+        x = int(e[-1]) if len(e) else x
+        if hi - x >= N:  # no minimum in (x, x + N]
+            return GoodPoint(a + x, alpha, N, (a, b))
+        starts.append(r)
+        stops.append(e)
+        lo, span = hi, min(2 * span, _PASS)
+
+    # cuts: 0, every run, and b; one cumulative sum of the steps between them
+    r, e = np.concatenate(starts), np.concatenate(stops)
+    if e[-1] < end:  # the closing block
+        r, e = np.append(r, end), np.append(e, end)
+    src = np.concatenate(([0], e[:-1]))
+    size = e - r + 1
+    head = np.cumsum(size) - size  # each run's first block among the counts
+    steps = np.ones(1 + head[-1] + size[-1], dtype=np.int64)
+    steps[0] = a
+    steps[1 + head] = r - src
+    cuts = tuple(np.cumsum(steps, out=steps).tolist())
+    del steps
+    # a unit block inside a run is one non-member: only jumps count members
+    counts = [0] * (len(cuts) - 1)
+    for i, c in zip(head.tolist(), (pc[r] - pc[src]).tolist()):
+        counts[i] = c
+    return PartitionCertificate((a, b), alpha, N, cuts, tuple(counts), M)
+
+
+def _exact_dtype(alpha, top):
+    """int64 when ``2 * cnt * ad`` and ``an * length`` stay below 2^62 for
+    every 0 <= cnt, length <= top, otherwise object (Python ints)."""
+    an, ad = alpha.numerator, alpha.denominator
+    return object if 2 * top * max(abs(an), ad) >= 1 << 62 else np.int64
 
 
 def _sparse(cnt, length, alpha, top):
-    """Elementwise ``2 * cnt * ad < an * length``: density below alpha/2.
-
-    Exact: int64 when every product stays below 2^62 (0 <= cnt, length
-    <= top), otherwise the same expression on Python ints (dtype object).
-    """
-    an, ad = alpha.numerator, alpha.denominator
-    if 2 * top * max(abs(an), ad) >= 1 << 62:
-        cnt, length = cnt.astype(object), length.astype(object)
-    return 2 * cnt * ad < an * length
+    """Elementwise ``2 * cnt * ad < an * length``: density below alpha/2,
+    exact in the dtype of ``_exact_dtype`` (0 <= cnt, length <= top)."""
+    dtype = _exact_dtype(alpha, top)
+    cnt, length = cnt.astype(dtype, copy=False), length.astype(dtype, copy=False)
+    return 2 * cnt * alpha.denominator < alpha.numerator * length
 
 
 def verify_good_point(gp: GoodPoint, A: DenseSet) -> bool:

@@ -149,18 +149,25 @@ def cyclic_table(n):
 def build_model(desc):
     """Validate a model description and return the carrier.
 
-    ``desc`` is a mapping with ``kind`` equal to ``"zwindow"`` (fields
-    ``M``, ``L``) or ``"cayley"`` (field ``table``, a square list of
+    ``desc`` is a mapping with ``kind`` equal to ``"zwindow"`` (integer
+    fields ``M``, ``L``) or ``"cayley"`` (field ``table``, a square list of
     integer element indices).
     """
     kind = desc.get("kind")
     if kind == "zwindow":
-        M, L = int(desc["M"]), int(desc["L"])
+        bounds = ints((desc["M"], desc["L"]))
+        if bounds is None:
+            raise BadBounds(f"M and L must be integers, got M={desc['M']!r}, "
+                            f"L={desc['L']!r}")
+        M, L = bounds
         if not (2 <= L and 2 * L <= M):
             raise BadBounds(f"need 2 <= L <= M/2, got M={M}, L={L}")
         return ZWindow(M, L)
     if kind == "cayley":
-        rows = [ints(row) for row in desc["table"]]
+        try:
+            rows = [ints(row) for row in desc["table"]]
+        except TypeError:
+            raise BadBounds("Cayley table must be a list of rows") from None
         if None in rows:
             raise ElementOutOfRange("Cayley table entries must be integers")
         table = tuple(map(tuple, rows))

@@ -7,6 +7,8 @@ library is meaningful.  Oracles are only run at small scale.
 
 import itertools
 import operator
+from bisect import bisect_right
+from fractions import Fraction
 from itertools import accumulate, chain
 
 import numpy as np
@@ -16,16 +18,19 @@ from sumcore import (
     DefinableWitness,
     DenseSet,
     FamilyDescriptor,
+    GoodPoint,
     Infeasible,
     InvalidInput,
     LadderCertificate,
     NotFound,
+    PartitionCertificate,
     SquareWitness,
     Stuck,
     UpgradeResult,
     ZWindow,
 )
-from sumcore.errors import BadCore, ModelMismatch, SumcoreError
+from sumcore.density import _require_zwindow
+from sumcore.errors import BadAlpha, BadCore, BadInterval, ModelMismatch, SumcoreError
 from sumcore.model import CayleyGroup, Relation, iter_bits, translate
 from sumcore.search import Budget, preorder
 from sumcore.setspec import splitmix_stream
@@ -559,6 +564,63 @@ def walk_regular_point(A, interval, alpha, N):
         counts.append(sum(A.contains(y) for y in range(x, b)))
         cuts.append(b)
     return ("partition", tuple(cuts), tuple(counts))
+
+
+def list_walk_regular_point(A: DenseSet, interval, alpha, N):
+    """``find_regular_point`` as a walk over a Python list of prefix counts
+    (the old finder): GoodPoint or PartitionCertificate.
+
+    At each position x: if b - x < N the partition is closed; otherwise
+    the smallest n <= N with |A ∩ [x, x+n)| < (alpha/2) n determines the
+    jump, and if no prefix fails, x is returned as a good point.  Total
+    work O(b - a + N) on top of one prefix-count pass.
+    """
+    _require_zwindow(A)
+    a, b = interval
+    M = A.model.carrier_size
+    if not (0 <= a < b <= M):
+        raise BadInterval(f"interval [{a},{b}) not inside [0,{M})")
+    alpha = Fraction(alpha)
+    if not (0 < alpha <= 1):
+        raise BadAlpha(f"alpha must lie in (0,1], got {alpha}")
+    if not (1 <= N <= b - a):
+        raise BadInterval(f"horizon {N} outside [1, {b - a}]")
+
+    # p[i] = |A ∩ [a, a+i)|; the walk reads Python ints, not numpy scalars
+    pc = A.prefix_counts()
+    p = (pc[a:b + 1] - pc[a]).tolist()
+    an, ad = alpha.numerator, alpha.denominator
+    cuts = [a]
+    counts = []
+    i, end = 0, b - a
+    while True:
+        if end - i < N:
+            if i < end:
+                cuts.append(b)
+                counts.append(p[end] - p[i])
+            return PartitionCertificate(
+                (a, b), alpha, N, tuple(cuts), tuple(counts), M
+            )
+        base = p[i]
+        if p[i + 1] == base:
+            # i is not in A: [i, i+1) is sparse (alpha > 0), and so is
+            # every position up to the next member; take them in one step
+            stop = min(bisect_right(p, base, i) - 1, end - N + 1)
+            cuts.extend(range(a + i + 1, a + stop + 1))
+            counts.extend([0] * (stop - i))
+            i = stop
+            continue
+        jump = 0
+        for n in range(1, N + 1):
+            # density < alpha/2  <=>  2 * cnt * ad < an * n
+            if 2 * (p[i + n] - base) * ad < an * n:
+                jump = n
+                break
+        if jump == 0:
+            return GoodPoint(a + i, alpha, N, (a, b))
+        i += jump
+        cuts.append(a + i)
+        counts.append(p[i] - base)
 
 
 def text_read_set_file(path):

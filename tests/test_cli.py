@@ -232,6 +232,16 @@ class TestSubcommands:
         assert code == 2
         assert json.loads(out)["error"]["type"] == "ElementOutOfRange"
 
+    def test_table_not_a_list_exit_2(self, capsys, tmp_path):
+        # a traceback on stderr through the internal-fault path before
+        path = tmp_path / "table.json"
+        path.write_text("5")
+        code = main(["density", "--model", f"cayley:{path}", "--set", "multiples(2)"])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert json.loads(out)["error"]["type"] == "BadBounds"
+        assert err == ""
+
     def test_bad_model_exit_code(self, capsys):
         code, out = run_cli(capsys, "density", "--model", "zwindow:100:80",
                             "--set", "pow2", "--n", "4")

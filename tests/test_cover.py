@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -142,6 +143,18 @@ class TestMinTranslateCover:
             min_translate_cover(A, m)
         with pytest.raises(BadCore):
             min_translate_cover(A, m, core=(50, 40))
+
+    @pytest.mark.parametrize("shifts", [[0.7, "1"], [0, 1.0], ["0"], [None], 5])
+    def test_non_integer_shifts_rejected(self, shifts):
+        # int() truncated 0.7 to 0 and parsed "1", and a cover by 0 came back
+        m = zw(100, 50)
+        A = DenseSet.from_members(m, [0, 1, 5])
+        with pytest.raises(BadCore):
+            min_translate_cover(A, m, core=(0, 2), shifts=shifts)
+        with pytest.raises(BadCore):
+            counting_lower_bound(A, m, (0, 2), shifts)
+        cert = min_translate_cover(A, m, core=(0, 2), shifts=[np.int64(1), 0])
+        assert cert.translates == (0,)
 
     @given(st.integers(2, 10), st.data())
     @settings(max_examples=60, deadline=None)

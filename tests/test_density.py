@@ -21,11 +21,15 @@ from sumcore import (
     find_regular_point,
     generate_set,
     min_window_density,
+    parse_set_spec,
     verify_density_certificate,
     verify_good_point,
 )
 
-from .oracles import scan_good_points, walk_regular_point
+from .oracles import list_walk_regular_point, scan_good_points, walk_regular_point
+
+
+SCALE = 1 << 18
 
 
 def zw(M, L):
@@ -190,6 +194,24 @@ class TestFindRegularPoint:
         else:
             got = ("partition", res.cuts, res.block_counts)
         assert got == walk_regular_point(A, (a, b), alpha, N)
+
+    @pytest.mark.parametrize("spec", [
+        "bernoulli(1/32,3)", "translate(pow2,17)", "multiples(7)",
+        "explicit(" + ",".join(str(4093 * i + 11) for i in range(64)) + ")",
+        f"threshold({SCALE - SCALE // 16})", f"complement(threshold({SCALE // 8}))", None,
+    ], ids=["bern32", "pow2-tr", "mult7", "explicit64", "thr-tail", "head", "empty"])
+    def test_walk_matches_list_walk_at_scale(self, spec):
+        # the array walk against the list walk it replaced, on an interval
+        # that ends at the carrier's end; 1/10^30 takes the dtype-object path
+        m = zw(SCALE, SCALE // 2)
+        A = DenseSet(m, 0) if spec is None else generate_set(m, parse_set_spec(spec))
+        a, b = 12345, SCALE
+        for N in (1, 64, 4096, b - a):
+            for alpha in (Fraction(1, 2), Fraction(1), Fraction(1, 10 ** 30)):
+                res = find_regular_point(A, (a, b), alpha, N)
+                assert res == list_walk_regular_point(A, (a, b), alpha, N)
+        if spec is not None and spec.startswith("complement"):  # dense from a
+            assert find_regular_point(A, (a, b), Fraction(1, 2), 64).x == a
 
     def test_good_point_is_least(self):
         # the walk's result equals the first good point of the scan oracle

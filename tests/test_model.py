@@ -83,6 +83,19 @@ class TestBuildModel:
         with pytest.raises(ElementOutOfRange):
             build_model({"kind": "cayley", "table": [[0, 1], entry]})
 
+    @pytest.mark.parametrize("M, L", [(100.9, 50.5), (100.0, 50), ("100", 50), (100, None)])
+    def test_non_integer_zwindow_bounds(self, M, L):
+        # int() built ZWindow(100, 50) from M = 100.9, L = 50.5
+        with pytest.raises(BadBounds):
+            build_model({"kind": "zwindow", "M": M, "L": L})
+        assert build_model({"kind": "zwindow", "M": np.int64(100), "L": 50}) == zw(100, 50)
+
+    @pytest.mark.parametrize("table", [5, 1.5, None])
+    def test_table_not_iterable(self, table):
+        # a bare TypeError before
+        with pytest.raises(BadBounds):
+            build_model({"kind": "cayley", "table": table})
+
     def test_numpy_and_bool_entries_are_integers(self):
         z2 = build_model({"kind": "cayley", "table": [[0, 1], [1, 0]]})
         assert build_model({"kind": "cayley", "table": np.array([[0, 1], [1, 0]])}) == z2

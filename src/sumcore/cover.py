@@ -60,7 +60,7 @@ def _cover_problem(A, model, core, shifts):
         raise ModelMismatch("set and model disagree")
     if isinstance(model, CayleyGroup):
         n = model.order
-        if shifts is not None or core is not None and tuple(core) != (0, n):
+        if shifts is not None or core is not None and ints(core) != [0, n]:
             raise BadCore(f"a cover of a Cayley group takes no shifts and no core "
                           f"but the whole group (0, {n})")
         core, order = (0, n), range(n)
@@ -69,9 +69,10 @@ def _cover_problem(A, model, core, shifts):
         rows = [int.from_bytes(r.tobytes(), "little")
                 for r in np.packbits(grid, axis=1, bitorder="little")]
     elif isinstance(model, ZWindow):
-        if core is None:
-            raise BadCore("ZWindow cover needs an explicit core region")
-        lo, hi = core
+        core = ints(core)
+        if core is None or len(core) != 2:
+            raise BadCore("ZWindow cover needs an explicit core region of two integers")
+        lo, hi = core = tuple(core)
         if not (0 <= lo < hi <= model.carrier_size):
             raise BadCore(f"core [{lo},{hi}) not inside the carrier")
         order = range(1 - hi, hi) if shifts is None else shifts

@@ -174,23 +174,18 @@ def build_model(desc):
         n = len(table)
         if n == 0 or any(len(row) != n for row in table):
             raise BadBounds("Cayley table must be square and nonempty")
-        full = (1 << n) - 1
-        for i, row in enumerate(table):
-            seen = 0
-            for x in row:
-                if not (0 <= x < n):
-                    raise ElementOutOfRange(f"row {i} entry {x} out of range")
-                if seen >> x & 1:
-                    raise NotALatinSquare("row", i, x)
-                seen |= 1 << x
-        for j in range(n):
-            seen = 0
-            for i in range(n):
-                x = table[i][j]
-                if seen >> x & 1:
-                    raise NotALatinSquare("column", j, x)
-                seen |= 1 << x
-            assert seen == full
+        # each line must be a permutation of 0..n-1; only a faulty one is rescanned
+        for line_kind, lines in (("row", table), ("column", zip(*table))):
+            for i, line in enumerate(lines):
+                if min(line) >= 0 and max(line) < n and len(set(line)) == n:
+                    continue
+                seen = set()
+                for x in line:
+                    if not 0 <= x < n:  # rows all pass before any column is read
+                        raise ElementOutOfRange(f"row {i} entry {x} out of range")
+                    if x in seen:
+                        raise NotALatinSquare(line_kind, i, x)
+                    seen.add(x)
         return CayleyGroup(table)
     raise SumcoreError(f"unknown model kind: {kind!r}")
 

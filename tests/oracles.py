@@ -30,8 +30,17 @@ from sumcore import (
     ZWindow,
 )
 from sumcore.density import _require_zwindow
-from sumcore.errors import BadAlpha, BadCore, BadInterval, ModelMismatch, SumcoreError
-from sumcore.model import CayleyGroup, Relation, iter_bits, translate
+from sumcore.errors import (
+    BadAlpha,
+    BadBounds,
+    BadCore,
+    BadInterval,
+    ElementOutOfRange,
+    ModelMismatch,
+    NotALatinSquare,
+    SumcoreError,
+)
+from sumcore.model import CayleyGroup, Relation, ints, iter_bits, translate
 from sumcore.search import Budget, preorder
 from sumcore.setspec import splitmix_stream
 
@@ -621,6 +630,39 @@ def list_walk_regular_point(A: DenseSet, interval, alpha, N):
         i += jump
         cuts.append(a + i)
         counts.append(p[i] - base)
+
+
+def loop_cayley_model(table):
+    """``build_model``'s Cayley branch as two bitset double loops (the old
+    check): every row entry tested for range and repeats, then every column."""
+    try:
+        rows = [ints(row) for row in table]
+    except TypeError:
+        raise BadBounds("Cayley table must be a list of rows") from None
+    if None in rows:
+        raise ElementOutOfRange("Cayley table entries must be integers")
+    table = tuple(map(tuple, rows))
+    n = len(table)
+    if n == 0 or any(len(row) != n for row in table):
+        raise BadBounds("Cayley table must be square and nonempty")
+    full = (1 << n) - 1
+    for i, row in enumerate(table):
+        seen = 0
+        for x in row:
+            if not (0 <= x < n):
+                raise ElementOutOfRange(f"row {i} entry {x} out of range")
+            if seen >> x & 1:
+                raise NotALatinSquare("row", i, x)
+            seen |= 1 << x
+    for j in range(n):
+        seen = 0
+        for i in range(n):
+            x = table[i][j]
+            if seen >> x & 1:
+                raise NotALatinSquare("column", j, x)
+            seen |= 1 << x
+        assert seen == full
+    return CayleyGroup(table)
 
 
 def text_read_set_file(path):

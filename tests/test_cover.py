@@ -156,6 +156,18 @@ class TestMinTranslateCover:
         cert = min_translate_cover(A, m, core=(0, 2), shifts=[np.int64(1), 0])
         assert cert.translates == (0,)
 
+    @pytest.mark.parametrize("core", [(0.5, 2), (0, 2.0), ("0", 2), (0, 2, 3)])
+    def test_non_integer_or_misshapen_core_rejected(self, core):
+        # a bare TypeError or ValueError before, from the shift or the unpacking
+        m = zw(100, 50)
+        A = generate_set(m, Multiples(3))
+        with pytest.raises(BadCore):
+            min_translate_cover(A, m, core=core, shifts=[0, 1])
+        with pytest.raises(BadCore):
+            counting_lower_bound(A, m, core, [0, 1])
+        cert = min_translate_cover(A, m, core=[np.int64(0), 2], shifts=[0, 1])
+        assert cert.core == (0, 2) and cert.translates == (0, 1)
+
     @given(st.integers(2, 10), st.data())
     @settings(max_examples=60, deadline=None)
     def test_exact_beats_greedy_and_bounds(self, n, data):
@@ -194,6 +206,17 @@ class TestMinTranslateCover:
                 counting_lower_bound(A, m, kw.get("core"), kw.get("shifts"))
         assert min_translate_cover(A, m, core=(0, 6)) == whole
         assert counting_lower_bound(A, m, (0, 6)) == counting_lower_bound(A, m, None) == 2
+
+    @pytest.mark.parametrize("core", [5, (0.0, 6), (0, 6, 6), "06"])
+    def test_cayley_core_must_be_the_integer_pair(self, core):
+        # 5 raised a bare TypeError from tuple(core), and (0.0, 6) passed
+        m = zn(6)
+        A = DenseSet.from_members(m, [0, 2, 4])
+        with pytest.raises(BadCore):
+            min_translate_cover(A, m, core=core)
+        with pytest.raises(BadCore):
+            counting_lower_bound(A, m, core)
+        assert min_translate_cover(A, m, core=[np.int64(0), 6]).core == (0, 6)
 
     @pytest.mark.parametrize("mode", ["bogus", "Exact", None])
     def test_unknown_mode_is_rejected_first(self, mode):

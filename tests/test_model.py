@@ -1,3 +1,5 @@
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,7 +22,7 @@ from sumcore import (
 )
 from sumcore.model import Relation, _read_set_bytes, bits_of, iter_bits, set_file_text
 
-from .oracles import text_read_set_file, text_set_file_text
+from .oracles import loop_cayley_model, text_read_set_file, text_set_file_text
 
 
 def zw(M, L):
@@ -100,6 +102,56 @@ class TestBuildModel:
         z2 = build_model({"kind": "cayley", "table": [[0, 1], [1, 0]]})
         assert build_model({"kind": "cayley", "table": np.array([[0, 1], [1, 0]])}) == z2
         assert build_model({"kind": "cayley", "table": [[False, True], [True, False]]}) == z2
+
+
+class TestLatinCheck:
+    """build_model's one-pass line check against the old double loops."""
+
+    @staticmethod
+    def outcome(build, table):
+        try:
+            return build(table)
+        except SumcoreError as exc:
+            return (type(exc), str(exc), getattr(exc, "kind", None),
+                    getattr(exc, "index", None), getattr(exc, "value", None))
+
+    def check(self, table):
+        got = self.outcome(lambda t: build_model({"kind": "cayley", "table": t}), table)
+        assert got == self.outcome(loop_cayley_model, table)
+        return got
+
+    @pytest.mark.parametrize("table, expected", [
+        # the repeat in row 0 comes before the out-of-range entry of row 1
+        ([[0, 0], [5, 1]], (NotALatinSquare, "row 0 repeats entry 0", "row", 0, 0)),
+        ([[0, 1], [0, 1]], (NotALatinSquare, "column 0 repeats entry 0", "column", 0, 0)),
+        # an exact message, not numpy's float64 reading of 2**63
+        ([[0, 2**63], [1, 0]],
+         (ElementOutOfRange, f"row 0 entry {2**63} out of range", None, None, None)),
+        ([[0, 10**30], [1, 0]],
+         (ElementOutOfRange, f"row 0 entry {10**30} out of range", None, None, None)),
+        ([[0, -1], [1, 0]], (ElementOutOfRange, "row 0 entry -1 out of range", None, None, None)),
+        ([[True, False], [False, True]], CayleyGroup(((1, 0), (0, 1)))),
+        # every row a permutation, column 0 repeats 1
+        ([[0, 1, 2], [1, 2, 0], [1, 0, 2]],
+         (NotALatinSquare, "column 0 repeats entry 1", "column", 0, 1)),
+    ])
+    def test_hand_tables(self, table, expected):
+        assert self.check(table) == expected
+
+    def test_seeded_faulty_cyclic_tables(self):
+        rng = random.Random(20)
+        seen = set()
+        for _ in range(400):
+            n = rng.randint(1, 7)
+            table = [list(r) for r in cyclic_table(n)]
+            if rng.random() < 0.3:  # a copied row: rows pass, a column repeats
+                table[rng.randrange(n)] = list(table[rng.randrange(n)])
+            for _ in range(rng.randint(0, 3)):
+                table[rng.randrange(n)][rng.randrange(n)] = rng.randint(-2, n + 1)
+            got = self.check(table)
+            seen.add("ok" if isinstance(got, CayleyGroup) else got[:3:2])  # type, kind
+        assert seen == {"ok", (ElementOutOfRange, None), (NotALatinSquare, "row"),
+                        (NotALatinSquare, "column")}
 
 
 class TestDenseSet:

@@ -33,7 +33,7 @@ from . import cover as cover_mod
 from . import density as density_mod
 from . import ladder as ladder_mod
 from . import witness as witness_mod
-from .errors import SumcoreError
+from .errors import BadBounds, SumcoreError
 from .model import build_model, cyclic_table, set_file_text
 from .setspec import generate_set, parse_set_spec
 
@@ -44,7 +44,10 @@ def parse_model_arg(text):
     if parts[0] == "zwindow" and len(parts) == 3:
         return build_model({"kind": "zwindow", "M": int(parts[1]), "L": int(parts[2])})
     if parts[0] == "zmod" and len(parts) == 2:
-        return build_model({"kind": "cayley", "table": cyclic_table(int(parts[1]))})
+        n = int(parts[1])
+        if n < 1:
+            raise BadBounds(f"zmod:n needs n >= 1, got n={n}")
+        return build_model({"kind": "cayley", "table": cyclic_table(n)})
     if parts[0] == "cayley" and len(parts) >= 2:
         path = text.split(":", 1)[1]
         with open(path) as fh:

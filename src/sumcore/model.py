@@ -82,7 +82,7 @@ def ints(values):
 
 def bits_of(indices):
     """The big-int bitset with bit i set for each non-negative integer i."""
-    idx = np.asarray(list(indices))
+    idx = indices if isinstance(indices, np.ndarray) else np.asarray(list(indices))
     if idx.size == 0:
         return 0
     if idx.dtype.kind not in "iu":
@@ -281,18 +281,20 @@ def quotient(A: DenseSet, g: int, side: str) -> DenseSet:
     return DenseSet(model, from_mask(A.to_numpy()[products]))
 
 
+def shift_bits(bits, g, n):
+    """The bitset ``bits`` moved up by g (down for g < 0) and cut to [0, n)."""
+    if abs(g) >= n:
+        # slides every bit out; shifting first would build an integer of |g| bits
+        return 0
+    return (bits << g) & ((1 << n) - 1) if g >= 0 else bits >> -g
+
+
 def translate(A: DenseSet, g: int) -> DenseSet:
     """The translate g·A (ZWindow: A + g, clipped at the window bounds)."""
     model = A.model
     n = model.carrier_size
     if isinstance(model, ZWindow):
-        if abs(g) >= n:
-            # slides A wholly off the window; shifting first would build
-            # an integer of |g| bits
-            return DenseSet(model, 0)
-        if g >= 0:
-            return DenseSet(model, (A.bits << g) & ((1 << n) - 1))
-        return DenseSet(model, A.bits >> (-g))
+        return DenseSet(model, shift_bits(A.bits, g, n))
     if not (0 <= g < n):
         raise ElementOutOfRange(f"element {g} outside carrier of size {n}")
     mask = np.zeros(n, dtype=bool)
@@ -322,8 +324,11 @@ class Relation:
     on a Cayley group each is computed once per element through
     ``quotient``.
 
+    ``reach(top, side)`` is ``left`` or ``right`` for a caller whose
+    products all lie below ``top``: on a ZWindow, shifts of A cut there.
+
     ``certifies(bs, cs, pattern)`` is the verdict of every grid
-    certificate, read row by row as the bitsets ``left(b)``.
+    certificate, read row by row as the bitsets ``reach(top)(b)``.
 
     ``meeting(pool)`` is the bitset of the b's with b·c ∈ A for some c in
     ``pool``: a search that needs such a b draws its candidates from it.
@@ -365,18 +370,29 @@ class Relation:
         above the diagonal (triangular witnesses), ``"ladder"`` k × k and
         true exactly there.  Malformed operands give False, before any shift.
         Row i, ``left(bs[i])`` ANDed with C = {c's}, must equal C (square,
-        all), hold S_i = {c_j : j >= i} (upper) or equal S_i (ladder)."""
+        all), hold S_i = {c_j : j >= i} (upper) or equal S_i (ladder); it
+        is read cut below top = max(bs) + max(cs) + 1, past every product."""
         ops = self.operands(bs, cs)
         if ops is None or (pattern != "all" and len(ops[0]) != len(ops[1])):
             return False
         bs, cs = ops
         need = C = bits_of(cs)
+        left = self.reach(max(bs) + C.bit_length())
         for i, b in enumerate(bs):
-            if self.left(b) & (C if pattern == "ladder" else need) != need:
+            if left(b) & (C if pattern == "ladder" else need) != need:
                 return False
             if pattern in ("upper", "ladder"):
                 need ^= 1 << cs[i]
         return True
+
+    def reach(self, top, side="left"):
+        """``left`` (side ``"left"``) or ``right`` for a caller that reads
+        row g only at g' with g + g' < top: on a ZWindow a shift of A's bits
+        cut below top, so no bit from top up is shifted; on a Cayley group
+        the cached rows."""
+        if isinstance(self._A.model, ZWindow):
+            return partial(operator.rshift, self._A.bits & ((1 << top) - 1))
+        return self.left if side == "left" else self.right
 
     def meeting(self, pool):
         """The union of ``right(c)`` over the c in the bitset ``pool``, or
@@ -573,13 +589,14 @@ def _sorted_unique(values):
     return values if fresh.all() else values[np.concatenate(([True], fresh))]
 
 
-def _read_set_bytes(raw):
-    """``read_set_file``'s answer from the file's bytes, or None when the
-    text needs the exact path (which also raises every error)."""
+def _decode_set_bytes(raw):
+    """``read_set_file``'s answer from the file's bytes with the members as
+    a sorted int64 array, or None when the text needs the exact path (which
+    also raises every error)."""
     text = raw.strip()
     if not text.startswith(b"RLE1:"):
         values = _decimal_values(np.frombuffer(raw, dtype=np.uint8), _ASCII_SPACE)
-        return None if values is None else (_sorted_unique(values).tolist(), None)
+        return None if values is None else (_sorted_unique(values), None)
     head, colon, body = text[5:].partition(b":")
     if not (colon and head.isdigit() and len(head) <= _DIGITS_MAX):
         return None
@@ -594,8 +611,20 @@ def _read_set_bytes(raw):
         return None
     lengths = runs[1::2]  # run k holds [end of gap k, end of run k)
     starts = ends[0::2][:lengths.size] - (np.cumsum(lengths) - lengths)
-    members = np.repeat(starts, lengths) + np.arange(lengths.sum())
-    return members.tolist(), size
+    return np.repeat(starts, lengths) + np.arange(lengths.sum()), size
+
+
+def _read_set_bytes(raw):
+    """``_decode_set_bytes`` with the members as a list."""
+    fast = _decode_set_bytes(raw)
+    return None if fast is None else (fast[0].tolist(), fast[1])
+
+
+def _read_set_array(path):
+    """``read_set_file``'s answer with the members as a sorted int64 array,
+    or None when the file needs ``read_set_file``'s exact path."""
+    with open(path, "rb") as fh:
+        return _decode_set_bytes(fh.read())
 
 
 def read_set_file(path):

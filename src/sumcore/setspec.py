@@ -32,7 +32,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import ParseError, SpecOutOfRange
-from .model import DenseSet, bits_of, from_mask, read_set_file
+from .model import DenseSet, _read_set_array, bits_of, from_mask, read_set_file, shift_bits
 
 MASK64 = (1 << 64) - 1
 GOLDEN = 0x9E3779B97F4A7C15
@@ -188,7 +188,9 @@ def generate_set(model, spec) -> DenseSet:
                     raise SpecOutOfRange(f"explicit member {x} outside carrier")
             return bits_of(node.members)
         if isinstance(node, FileSet):
-            members, _ = read_set_file(node.path)
+            # an int64 array; the exact path's list also raises every error
+            fast = _read_set_array(node.path)
+            members = read_set_file(node.path)[0] if fast is None else fast[0]
             # sorted and non-negative: members >= n are ignored
             return bits_of(members[:bisect_left(members, n)])
         if isinstance(node, Union):
@@ -196,10 +198,7 @@ def generate_set(model, spec) -> DenseSet:
         if isinstance(node, Intersect):
             return ev(node.left) & ev(node.right)
         if isinstance(node, Translate):
-            b = ev(node.child)
-            if node.k >= 0:
-                return (b << node.k) & full
-            return b >> (-node.k)
+            return shift_bits(ev(node.child), node.k, n)
         if isinstance(node, Complement):
             return full ^ ev(node.child)
         raise SpecOutOfRange(f"unknown spec node {node!r}")

@@ -462,15 +462,16 @@ def ramsey_upgrade(tri: TriangularWitness, A: DenseSet, model) -> UpgradeResult:
     """
     if not verify_triangular_witness(tri, A, model):
         raise InvalidInput("input does not verify as a triangular witness")
-    rel = Relation(A, model)
-    bs, cs = rel.operands(tri.b, tri.c)
+    bs, cs = ints(tri.b), ints(tri.c)  # gated by the check above
 
     chain = ([], [])  # the pivots labelled "not in A" and "in A"
     rest, size = bits_of(bs), len(bs)  # the remaining b's and their number
+    # every product b + c the walk reads lies below max(bs) + max(cs) + 1
+    right = Relation(A, model).reach(rest.bit_length() + max(cs), "right")
     for p, (b, c) in enumerate(zip(bs, cs)):
         if size > 1 and rest >> b & 1:  # the least remaining index: a pivot
             others = rest ^ (1 << b)
-            hot = others & rel.right(c)
+            hot = others & right(c)
             hot_size = hot.bit_count()
             label = 2 * hot_size >= size - 1
             chain[label].append(p)

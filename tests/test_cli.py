@@ -29,6 +29,14 @@ class TestModelArg:
         assert isinstance(m, CayleyGroup)
         assert m.op(5, 3) == 2
 
+    @pytest.mark.parametrize("n", ["0", "-3"])
+    def test_zmod_needs_a_positive_order(self, capsys, n):
+        code, out = run_cli(capsys, "witness", "--model", f"zmod:{n}", "--set", "pow2",
+                            "--k", "2")
+        assert code == 2
+        assert json.loads(out)["error"] == {
+            "type": "BadBounds", "message": f"zmod:n needs n >= 1, got n={n}"}
+
     def test_cayley_file(self, tmp_path):
         path = tmp_path / "table.json"
         path.write_text(json.dumps([[0, 1], [1, 0]]))
@@ -46,6 +54,13 @@ class TestSubcommands:
         assert rep["kind"] == "witness"
         assert rep["result"] == {"status": "not_found", "exhaustive": True}
         assert rep["certificate"] is None
+
+    def test_translate_past_the_carrier_is_empty(self, capsys):
+        code = main(["witness", "--model", "zwindow:64:32",
+                     "--set", "translate(pow2,99999999999999999999)", "--k", "2"])
+        out, err = capsys.readouterr()
+        assert (code, err) == (1, "")
+        assert json.loads(out)["result"] == {"status": "not_found", "exhaustive": True}
 
     def test_density_evens(self, capsys):
         code, out = run_cli(capsys, "density", "--model", "zwindow:100:50",

@@ -25,7 +25,8 @@ from sumcore import (
     parse_set_spec,
     spec_to_text,
 )
-from sumcore.model import cyclic_table, iter_bits
+from sumcore import setspec
+from sumcore.model import DenseSet, cyclic_table, iter_bits, read_set_file, translate
 from sumcore.setspec import GOLDEN, splitmix64
 
 
@@ -160,6 +161,19 @@ class TestGenerate:
         B = generate_set(m, Translate(Explicit((1, 2)), -2))
         assert B.members() == [0]
 
+    @pytest.mark.parametrize("k", [63, 64, 65, 10**20, -63, -64, -65, -10**20])
+    def test_translate_past_the_carrier(self, k):
+        # |k| >= M slides every member out before any shift, as model.translate does
+        m = zw(64, 32)
+        A = generate_set(m, PowersOf2())
+        got = generate_set(m, Translate(PowersOf2(), k))
+        assert got == translate(A, k)
+        assert got.members() == [x + k for x in A.members() if 0 <= x + k < 64]
+
+    def test_translate_past_the_carrier_in_the_dsl(self):
+        spec = parse_set_spec("translate(pow2,99999999999999999999)")
+        assert generate_set(zw(64, 32), spec).members() == []
+
     def test_file_spec(self, tmp_path):
         path = tmp_path / "a.set"
         path.write_text("3\n1\n12\n")
@@ -182,6 +196,51 @@ class TestGenerate:
         m = zw(2 * M, M)
         spec = Bernoulli(Fraction(1, 2), seed)
         assert generate_set(m, spec).bits == generate_set(m, spec).bits
+
+
+def _outcome(fn, *args):
+    """fn's result, or the type and message of the exception it raised."""
+    try:
+        return fn(*args)
+    except Exception as exc:  # compared against the list path's
+        return type(exc), str(exc)
+
+
+class TestFileLeaf:
+    """The file(...) leaf against read_set_file's members below n."""
+
+    @pytest.mark.parametrize("raw", [
+        b"", b"5", b"3\n1\n3\n70\n", b"0\n63\n64\n99\n", b"9" * 18 + b"\n1\n",
+        b"RLE1:100:2,3,50,40\n", b"RLE1:10:0,10\n", b"RLE1:200:150,20\n",
+        # read by read_set_file's exact path
+        b"+5\n3\n", "\u0661\u0662\n3\n".encode(), b"1" + b"0" * 29 + b"\n2\n",
+        b"RLE1:10:1, 2\n",
+        # errors
+        b"-3\n4\n", b"1 2 x", b"RLE1:5:3,4\n", b"RLE1:10:2,-1,3\n", b"RLE1:5",
+    ])
+    @pytest.mark.parametrize("n", [3, 64, 100])
+    def test_equals_read_set_file(self, tmp_path, raw, n):
+        path = tmp_path / "a.set"
+        path.write_bytes(raw)
+        model = carrier(n)
+
+        def listed():
+            members, _ = read_set_file(str(path))
+            return DenseSet.from_members(model, [x for x in members if x < n])
+
+        assert _outcome(generate_set, model, FileSet(str(path))) == _outcome(listed)
+
+    @pytest.mark.parametrize("raw, exact", [
+        (b"1\n5\n", False), (b"RLE1:10:2,3\n", False), (b"+5\n", True), (b"x", True)])
+    def test_codec_files_build_no_list(self, tmp_path, monkeypatch, raw, exact):
+        # only a file the whole-array codec refuses goes through read_set_file
+        calls = []
+        monkeypatch.setattr(setspec, "read_set_file",
+                            lambda p: calls.append(p) or read_set_file(p))
+        path = tmp_path / "a.set"
+        path.write_bytes(raw)
+        _outcome(generate_set, zw(64, 32), FileSet(str(path)))
+        assert calls == ([str(path)] if exact else [])
 
 
 class TestGeneratorEquivalence:

@@ -158,6 +158,47 @@ def test_certifies_equals_gather_on_random_certificates(kind):
     assert 0.1 < sum(verdicts) / len(verdicts) < 0.9
 
 
+def edge_certificate(M, L, k):
+    """(model, bs, cs): k operand pairs on zwindow:M:L whose largest
+    product, max(bs) + max(cs) = 2L - 2, is the largest any two operands
+    form.  The b's increase to L - 1 and the c's decrease from it, so that
+    product is b_{k-1} + c_0: below the diagonal when k > 1, on it when
+    k = 1.  b_i + c_j depends on i - j alone, so no product below the
+    diagonal equals one on or above it."""
+    model = build_model({"kind": "zwindow", "M": M, "L": L})
+    return model, [L - 1 - 3 * (k - 1 - i) for i in range(k)], [L - 1 - 3 * j for j in range(k)]
+
+
+BRUTE = {"square": square, "all": square, "upper": triangular, "ladder": ladder}
+
+
+@pytest.mark.parametrize("pattern", PATTERNS)
+@pytest.mark.parametrize("k", [1, 2, 3, 7])
+@pytest.mark.parametrize("M", [64, 256])
+def test_certifies_at_the_reach_edge(pattern, k, M):
+    # certifies reads rows from A's bits cut below max(bs) + max(cs) + 1, so
+    # the edge product max(bs) + max(cs) is the last bit it may read
+    model, bs, cs = edge_certificate(M, 32, k)
+    edge = max(bs) + max(cs)
+    # the products the pattern needs, and members past the edge up to the
+    # carrier's last bit, which no row reads
+    held = {b + c for i, b in enumerate(bs) for j, c in enumerate(cs)
+            if BRUTE[pattern](i, j)} | set(range(edge + 1, M))
+    verdicts = []
+    for members in (held | {edge}, held - {edge}):
+        A = DenseSet.from_members(model, members)
+        got = Relation(A, model).certifies(bs, cs, pattern)
+        assert got == brute_pattern(A, model, bs, cs, BRUTE[pattern]) == \
+            gather_certifies(A, model, bs, cs, pattern), (sorted(members), pattern)
+        verdicts.append(got)
+    # the edge decides the verdict: square and all need it, as does a 1 × 1
+    # grid; a ladder refuses it below the diagonal, where upper does not care
+    if k == 1 or pattern in ("square", "all"):
+        assert verdicts == [True, False]
+    else:
+        assert verdicts == ([True, True] if pattern == "upper" else [False, True])
+
+
 def check_ladder(cert, A, model):
     assert verify_ladder(cert, A, model) == \
         brute_pattern(A, model, cert.b, cert.c, ladder), cert

@@ -612,6 +612,30 @@ class TestRamseyUpgrade:
         assert res == gather_ramsey_upgrade(tri, A, model)
         assert verify_upgrade(res, A, model)
 
+    @pytest.mark.parametrize("mlen", [1, 2, 3, 8, 40])
+    @pytest.mark.parametrize("density", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("M", [128, 512])
+    def test_equals_gather_walk_at_the_reach_edge(self, mlen, density, M):
+        # the largest b comes last and the largest c first, so the first
+        # pivot colours b_{m-1} + c_0 = 2L - 2: the largest product two
+        # operands form, and the last bit the walk's cut rows keep
+        L = 64
+        model = zw(M, L)
+        rng = np.random.default_rng(mlen)
+        b = rng.choice(L - 1, mlen - 1, replace=False).tolist() + [L - 1]
+        c = [L - 1] + rng.choice(L - 1, mlen - 1, replace=False).tolist()
+        mask = rng.random(M) < density
+        for i in range(mlen):
+            mask[b[i] + np.array(c[i:])] = True
+        tri = TriangularWitness(tuple(b), tuple(c))
+        # with m = 1 the edge lies on the diagonal, where A must hold it
+        for edge in (True, False)[:1 + (mlen > 1)]:
+            mask[2 * L - 2] = edge
+            A = DenseSet.from_members(model, np.flatnonzero(mask))
+            res = ramsey_upgrade(tri, A, model)
+            assert res == gather_ramsey_upgrade(tri, A, model)
+            assert verify_upgrade(res, A, model)
+
     @pytest.mark.parametrize("tag", ["square", "ladder"])
     def test_equals_gather_walk_forced(self, tag):
         # bench/corpus's forced inputs at m = 1024: every pair hot, or every one cold

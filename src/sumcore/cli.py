@@ -24,6 +24,7 @@ import argparse
 import csv
 import io
 import json
+import re
 import sys
 import time
 import traceback
@@ -34,23 +35,26 @@ from . import density as density_mod
 from . import ladder as ladder_mod
 from . import witness as witness_mod
 from .errors import BadBounds, SumcoreError
-from .model import build_model, cyclic_table, set_file_text
+from .model import CayleyGroup, build_model, cyclic_table, set_file_text
 from .setspec import generate_set, parse_set_spec
 
 
 def parse_model_arg(text):
-    """zwindow:M:L | zmod:n | cayley:<path to JSON table>."""
-    parts = text.split(":")
-    if parts[0] == "zwindow" and len(parts) == 3:
-        return build_model({"kind": "zwindow", "M": int(parts[1]), "L": int(parts[2])})
-    if parts[0] == "zmod" and len(parts) == 2:
-        n = int(parts[1])
-        if n < 1:
-            raise BadBounds(f"zmod:n needs n >= 1, got n={n}")
-        return build_model({"kind": "cayley", "table": cyclic_table(n)})
-    if parts[0] == "cayley" and len(parts) >= 2:
-        path = text.split(":", 1)[1]
-        with open(path) as fh:
+    """zwindow:M:L | zmod:n | cayley:<path to JSON table>, with M, L and n
+    ASCII decimal integers (-?[0-9]+)."""
+    kind, colon, rest = text.partition(":")
+    fields = rest.split(":")
+    if all(re.fullmatch(r"-?[0-9]+", f) for f in fields):
+        sizes = [int(f) for f in fields]
+        if kind == "zwindow" and len(sizes) == 2:
+            return build_model({"kind": "zwindow", "M": sizes[0], "L": sizes[1]})
+        if kind == "zmod" and len(sizes) == 1:
+            n = sizes[0]
+            if n < 1:
+                raise BadBounds(f"zmod:n needs n >= 1, got n={n}")
+            return CayleyGroup(cyclic_table(n))  # a Latin square by construction
+    if kind == "cayley" and colon:
+        with open(rest) as fh:
             table = json.load(fh)
         return build_model({"kind": "cayley", "table": table})
     raise SumcoreError(f"cannot parse model {text!r}")

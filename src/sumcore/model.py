@@ -6,9 +6,11 @@ Two kinds of carrier are supported:
   operation is partial: ``a + b`` is defined only when the sum stays
   below ``M``.  Witness operands are drawn from ``0..L-1`` with
   ``L <= M/2``, so any product of two operands is defined.
-* ``CayleyGroup(table)`` -- an explicit finite magma given by an
+* ``CayleyGroup(table)`` -- an explicit finite carrier given by an
   ``n x n`` table of element indices.  The table must be a Latin
-  square; cyclic tables give the groups Z_n.
+  square, so it is a quasigroup, and a group exactly when it is
+  associative (``is_group``, Light's test); cyclic tables give the groups
+  Z_n.  Only the exact witness searches use the difference.
 
 Sets over a carrier are ``DenseSet`` bitsets.  The canonical
 representation is a single Python integer (bit i set iff element i is a
@@ -141,9 +143,42 @@ class CayleyGroup:
         """The table as an integer array, built on first use."""
         return np.array(self.table, dtype=np.intp)
 
+    @cached_property
+    def is_group(self):
+        """Whether the table is a group: it has an identity e, every row
+        holds e (a right inverse), and it is associative.  A Latin square
+        is a group exactly when it is associative; the first two checks
+        keep the answer right for a table that ``build_model`` would refuse.
+
+        Associativity is Light's test (Clifford and Preston, *The Algebraic
+        Theory of Semigroups* I, §1.2): the s with (x·s)·y = x·(s·y) for
+        all x, y are closed under products, so the table is associative
+        once they generate it.  The generators are taken greedily, each
+        the least element outside the products of those before it; a
+        failing one ends the test."""
+        t = self._table_array
+        ids = np.arange(len(t))
+        e = np.flatnonzero((t == ids).all(axis=1) & (t.T == ids).all(axis=1))
+        if e.size == 0 or not (t == e[0]).any(axis=1).all():
+            return False
+        reached = np.zeros(len(t), dtype=bool)
+        while not reached.all():
+            s = int(reached.argmin())
+            # np.take gathers columns faster than fancy indexing does
+            if not (t[t[:, s]] == np.take(t, t[s], axis=1)).all():
+                return False
+            reached[s] = True
+            while True:  # close under products, which pass as their factors did
+                idx = np.flatnonzero(reached)
+                reached[np.take(t[idx], idx, axis=1)] = True
+                if reached.sum() == idx.size:
+                    break
+        return True
+
 
 def cyclic_table(n):
-    return tuple(tuple((i + j) % n for j in range(n)) for i in range(n))
+    row = list(range(n))
+    return tuple(tuple(row[i:] + row[:i]) for i in range(n))
 
 
 def build_model(desc):

@@ -21,7 +21,9 @@ node budget, ``search.Budget``.  On sparse ZWindow sets an anchor-side
 walk over the members of A decides first whether any witness exists: over
 the differences of A for squares (``_anchor_square_exists``), over the
 shifts of A that hold the sums of row 1 for triangular witnesses
-(``_anchor_triangular_exists``).
+(``_anchor_triangular_exists``).  On a Cayley table that is a group,
+both searches fix b_1 = 0 (``_roots``): a witness moved by g on the
+left of C and g⁻¹ on the right of B keeps every product.
 Searches and verifiers read b*c in A through one ``Relation``, built from
 (A, model), so a set from another model raises ``ModelMismatch``; each
 verifier ends in its one pattern check, ``Relation.certifies``, which
@@ -39,7 +41,7 @@ import numpy as np
 
 from .errors import InvalidInput, ModelMismatch
 from .ladder import LadderCertificate
-from .model import DenseSet, Relation, ZWindow, bits_of, ints, iter_bits
+from .model import CayleyGroup, DenseSet, Relation, ZWindow, bits_of, ints, iter_bits
 # bench/tracing.py wraps ``sumcore.witness.quotient`` by name
 from .model import quotient  # noqa: F401
 from .search import Budget, preorder
@@ -122,9 +124,23 @@ _ANCHOR_LIMIT = 256
 
 def _anchor_side(A: DenseSet, rel: Relation):
     """A lives on a ZWindow and has at most ``_ANCHOR_LIMIT`` members below
-    2L - 1, where every product of two operands lies."""
+    2L - 1, where every product of two operands lies.  Cayley tables take
+    the search alone, with its root cut by ``_roots`` on a group."""
     return isinstance(A.model, ZWindow) \
         and (A.bits & ((1 << (2 * rel.bound - 1)) - 1)).bit_count() <= _ANCHOR_LIMIT
+
+
+def _roots(A: DenseSet):
+    """The bitset of the b_1's the exact searches try: element 0 alone on a
+    Cayley table that is a group, else every operand.
+
+    On a group, (x, y) -> (x·g⁻¹, g·y) keeps every product x·y, so
+    g = 0⁻¹·b_1 moves any witness to one with b_1 = 0.  The depth-first
+    walk tries b_1 = 0 first, so the witness it finds there is the one
+    the full root finds, and an empty 0 branch means no witness at all.
+    A Latin square that is not associative keeps every root."""
+    model = A.model
+    return 1 if isinstance(model, CayleyGroup) and model.is_group else model.operand_mask
 
 
 def _anchor_square_exists(A: DenseSet, k: int, bud: Budget):
@@ -247,7 +263,10 @@ def find_square_witness(A: DenseSet, model, k: int, mode="exact", budget=None):
     the answer, ``NotFound(exhaustive=True)``; on "exists", or when it
     runs out of budget, the search above runs under a budget of its own,
     so every other answer, the lex-least witness included, is the one
-    the search alone gives.  Cayley groups always take the search alone.
+    the search alone gives.  Cayley tables take the search alone; on a
+    group (``CayleyGroup.is_group``) its root tries b_1 = 0 only
+    (``_roots``), which gives the same witness and turns a refutation
+    that ran out of budget in the other roots into an exhaustive one.
 
     Heuristic mode delegates to the greedy back-and-forth construction
     and never claims exhaustiveness.
@@ -270,12 +289,14 @@ def find_square_witness(A: DenseSet, model, k: int, mode="exact", budget=None):
     if _anchor_side(A, rel) and _anchor_square_exists(A, k, Budget(budget)) is False:
         return NotFound(exhaustive=True)
 
+    root = _roots(A)
+
     def children(node):
         """Increasing b's after the last chosen; pool = surviving C candidates."""
         bs, pool = node
-        cand = domain
+        cand = root
         if bs:
-            cand = (cand >> (bs[-1] + 1)) << (bs[-1] + 1)
+            cand = (domain >> (bs[-1] + 1)) << (bs[-1] + 1)
             cand &= rel.meeting(pool)
         for b in iter_bits(cand):
             if not bud.spend():
@@ -317,7 +338,8 @@ def find_triangular_witness(A: DenseSet, model, m: int, scorer=None, budget=None
     the answer, ``NotFound(exhaustive=True)``; on "exists", or when it runs
     out of budget, the search above runs under a budget of its own, so
     every other answer, the witness included, is the one the search alone
-    gives.
+    gives.  Cayley tables take the search alone; on a group its root tries
+    b_1 = 0 only (``_roots``), as the square search's does.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
@@ -333,14 +355,16 @@ def find_triangular_witness(A: DenseSet, model, m: int, scorer=None, budget=None
     if _anchor_side(A, rel) and _anchor_triangular_exists(A, m, Budget(budget)) is False:
         return NotFound(exhaustive=True)
 
+    root = _roots(A)
+
     def children(node):
         """Distinct b's; pools[-1] = P of the b's so far, used = their mask."""
         bs, pools, used = node
         i = len(bs)
         prev = pools[-1] if pools else domain
-        cand = domain & ~used
+        cand = root
         if i > 0:
-            cand &= rel.meeting(prev)
+            cand = domain & ~used & rel.meeting(prev)
         for b in iter_bits(cand):
             if not bud.spend():
                 return

@@ -7,7 +7,7 @@ library is meaningful.  Oracles are only run at small scale.
 
 import itertools
 import operator
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from itertools import accumulate, chain
 
@@ -26,6 +26,7 @@ from sumcore import (
     PartitionCertificate,
     SquareWitness,
     Stuck,
+    TriangularWitness,
     UpgradeResult,
     ZWindow,
 )
@@ -816,3 +817,123 @@ def power_quadruple_solutions(max_exp):
             if {a, d} != {b, c}:
                 sols.append((a, b, c, d))
     return sols
+
+
+def full_root_square_witness(A, model, k, budget=None):
+    """Exact ``find_square_witness`` with every operand tried as b_1 on a
+    Cayley group too (the search before the root was cut to element 0)."""
+    from sumcore.witness import _anchor_side, _anchor_square_exists
+
+    bud = Budget(budget)
+    rel = Relation(A, model)
+    domain = rel.domain
+    if domain.bit_count() < k:
+        return NotFound(exhaustive=True)
+    if _anchor_side(A, rel) and _anchor_square_exists(A, k, Budget(budget)) is False:
+        return NotFound(exhaustive=True)
+
+    def children(node):
+        """Increasing b's after the last chosen; pool = surviving C candidates."""
+        bs, pool = node
+        cand = domain
+        if bs:
+            cand = (cand >> (bs[-1] + 1)) << (bs[-1] + 1)
+            cand &= rel.meeting(pool)
+        for b in iter_bits(cand):
+            if not bud.spend():
+                return
+            np_ = pool & rel.left(b)
+            if np_.bit_count() >= k:
+                yield bs + (b,), np_
+
+    for bs, pool in preorder(((), domain), children):
+        if len(bs) == k:
+            return SquareWitness(bs, tuple(itertools.islice(iter_bits(pool), k)))
+    return NotFound(exhaustive=not bud.exhausted)
+
+
+def full_root_triangular_witness(A, model, m, budget=None):
+    """Exact ``find_triangular_witness`` with every operand tried as b_1 on a
+    Cayley group too (the search before the root was cut to element 0)."""
+    from sumcore.witness import _anchor_side, _anchor_triangular_exists
+
+    bud = Budget(budget)
+    rel = Relation(A, model)
+    domain = rel.domain
+    if _anchor_side(A, rel) and _anchor_triangular_exists(A, m, Budget(budget)) is False:
+        return NotFound(exhaustive=True)
+
+    def children(node):
+        """Distinct b's; pools[-1] = P of the b's so far, used = their mask."""
+        bs, pools, used = node
+        i = len(bs)
+        prev = pools[-1] if pools else domain
+        cand = domain & ~used
+        if i > 0:
+            cand &= rel.meeting(prev)
+        for b in iter_bits(cand):
+            if not bud.spend():
+                return
+            np_ = prev & rel.left(b)
+            if np_.bit_count() >= m - i:
+                yield bs + (b,), pools + (np_,), used | (1 << b)
+
+    for bs, pools, _ in preorder(((), (), 0), children):
+        if len(bs) == m:
+            break
+    else:
+        return NotFound(exhaustive=not bud.exhausted)
+    # Hall over the nested pools left: slack[t] = |P_t minus used| - (m - t)
+    # stays >= 0, and taking c costs one slack on each P_t after j that holds
+    # c, a prefix of them; so c_j is the least free c outside the first pool
+    # with no slack (slack[m] = 0 stands for none).
+    slack = [p.bit_count() - m + t for t, p in enumerate(pools)] + [0]
+    cs, used = [], 0
+    for j, pool in enumerate(pools):
+        free = pool & ~used
+        tight = slack.index(0, j + 1)
+        ok = free & ~pools[tight] if tight < m else free
+        c = (ok & -ok).bit_length() - 1
+        # one node per free c up to the one taken, as a scan of them would
+        if not bud.spend((free & ((2 << c) - 1)).bit_count()):
+            return NotFound(exhaustive=False)
+        held = bisect_left(pools, True, j + 1, m, key=lambda p: not p >> c & 1)
+        slack[j + 1:held] = [s - 1 for s in slack[j + 1:held]]
+        cs.append(c)
+        used |= 1 << c
+    return TriangularWitness(bs, tuple(cs))
+
+
+def brute_is_associative(model):
+    """(x·y)·z == x·(y·z) for every triple: n³ table reads."""
+    t, n = model.table, model.order
+    return all(t[t[x][y]][z] == t[x][t[y][z]]
+               for x in range(n) for y in range(n) for z in range(n))
+
+
+def random_latin_square(n, rng, loop=False):
+    """A Latin square of order n filled cell by cell in row-major order,
+    each cell trying the symbols its row and column leave in a random
+    order and backtracking on a dead end.  With ``loop``, row 0 and
+    column 0 are 0..n-1, so 0 is an identity: a loop, which passes Light's
+    test at 0 whether or not it is associative."""
+    table = [[None] * n for _ in range(n)]
+
+    def fill(cell):
+        if cell == n * n:
+            return True
+        i, j = divmod(cell, n)
+        taken = set(table[i][:j]) | {table[r][j] for r in range(i)}
+        options = [x for x in range(n) if x not in taken]
+        rng.shuffle(options)
+        if loop and 0 in (i, j):
+            options = [i + j]
+        for x in options:
+            table[i][j] = x
+            if fill(cell + 1):
+                return True
+        table[i][j] = None
+        return False
+
+    fill(0)
+    return CayleyGroup(tuple(map(tuple, table)))

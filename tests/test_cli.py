@@ -5,7 +5,7 @@ import pytest
 
 from sumcore import witness as witness_mod
 from sumcore.cli import main, parse_model_arg
-from sumcore.model import ZWindow, CayleyGroup, read_set_file
+from sumcore.model import ZWindow, CayleyGroup, build_model, cyclic_table, read_set_file
 
 
 def run_cli(capsys, *argv):
@@ -36,6 +36,21 @@ class TestModelArg:
         assert code == 2
         assert json.loads(out)["error"] == {
             "type": "BadBounds", "message": f"zmod:n needs n >= 1, got n={n}"}
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 60])
+    def test_zmod_is_the_validated_cyclic_table(self, n):
+        assert parse_model_arg(f"zmod:{n}") == build_model(
+            {"kind": "cayley", "table": [list(r) for r in cyclic_table(n)]})
+
+    @pytest.mark.parametrize("text", ["zwindow:1_000:500", "zwindow:+100:50",
+                                      "zwindow:100: 50", "zmod:٣", "zmod:+6",
+                                      "zmod:6.0", "zmod:", "zmod:6:2", "zwindow:100"])
+    def test_sizes_are_ascii_decimals(self, capsys, text):
+        code, out = run_cli(capsys, "witness", "--model", text, "--set", "pow2",
+                            "--k", "2")
+        assert code == 2
+        assert json.loads(out)["error"] == {
+            "type": "SumcoreError", "message": f"cannot parse model {text!r}"}
 
     def test_cayley_file(self, tmp_path):
         path = tmp_path / "table.json"

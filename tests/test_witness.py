@@ -42,18 +42,22 @@ from sumcore import (
 )
 
 from sumcore import witness
-from sumcore.model import Relation, bits_of
+from sumcore.model import CayleyGroup, Relation, bits_of
 from sumcore.search import Budget
 from sumcore.setspec import splitmix_stream
 from sumcore.witness import _ANCHOR_LIMIT, _anchor_square_exists, _anchor_triangular_exists
 
 from .oracles import (
     bitset_greedy,
+    brute_is_associative,
     brute_square,
     brute_triangular_exists,
+    full_root_square_witness,
+    full_root_triangular_witness,
     gather_ramsey_upgrade,
     greedy_square,
     power_quadruple_solutions,
+    random_latin_square,
     scan_definable_search,
 )
 from .test_ladder import s3
@@ -860,6 +864,159 @@ class TestGrowthCurve:
         curve = growth_curve(A, m, 5)
         found = [p.found for p in curve]
         assert found == sorted(found, reverse=True)
+
+
+def random_subset(model, rng, density):
+    return DenseSet.from_members(
+        model, [x for x in range(model.carrier_size) if rng.random() < density])
+
+
+def shuffled_lines(model, rng):
+    """The table with its rows and its columns each put in a random order:
+    a Latin square again, associative for some orders only."""
+    rows, cols = list(model.table), list(range(model.order))
+    rng.shuffle(rows)
+    rng.shuffle(cols)
+    return CayleyGroup(tuple(tuple(row[j] for j in cols) for row in rows))
+
+
+# S_3 and S_4: groups whose left and right translates differ
+NON_ABELIAN = [symmetric_group(3), symmetric_group(4)]
+
+
+class TestGroupRoot:
+    """On a Cayley table that is a group, the exact square and triangular
+    searches try b_1 = 0 only; any other Latin square keeps every root."""
+
+    @staticmethod
+    def latin_instances(seed, count, density):
+        """Seeded random Latin squares of order 4..7, few of them groups,
+        each with a random set of a density drawn from ``density``."""
+        rng = random.Random(seed)
+        for _ in range(count):
+            model = random_latin_square(rng.randint(4, 7), rng)
+            yield model, random_subset(model, rng, rng.uniform(*density))
+
+    def test_square_equals_brute_on_latin_squares(self):
+        groups = 0
+        for model, A in self.latin_instances(1, 300, (0.3, 0.8)):
+            groups += model.is_group
+            for k in (2, 3):
+                expected = brute_square(A, model, k)
+                expected = SquareWitness(*expected) if expected else NotFound(exhaustive=True)
+                assert find_square_witness(A, model, k) == expected
+        assert 0 < groups < 30
+
+    def test_triangular_equals_brute_on_latin_squares(self):
+        # a triangular witness rarely needs a b_1 other than 0, so it takes
+        # more instances than the square test for a cut root to show
+        for model, A in self.latin_instances(2, 1500, (0.3, 0.7)):
+            for m in (2, 3):
+                res = find_triangular_witness(A, model, m)
+                if brute_triangular_exists(A, model, m):
+                    assert verify_triangular_witness(res, A, model)
+                else:
+                    assert res == NotFound(exhaustive=True)
+
+    @pytest.mark.parametrize("model", [zn(1), zn(2), zn(7), zn(12), *NON_ABELIAN],
+                             ids=["z1", "z2", "z7", "z12", "s3", "s4"])
+    def test_equals_full_root_search_on_groups(self, model):
+        assert model.is_group
+        rng = random.Random(model.order)
+        for _ in range(12):
+            A = random_subset(model, rng, rng.uniform(0.3, 0.9))
+            for k in (1, 2, 3, 4):
+                assert find_square_witness(A, model, k) == full_root_square_witness(A, model, k)
+                assert find_triangular_witness(A, model, k) \
+                    == full_root_triangular_witness(A, model, k)
+
+    @pytest.mark.parametrize("model", [zn(12), *NON_ABELIAN], ids=["z12", "s3", "s4"])
+    def test_budget_gives_the_full_root_answer_or_exhausts_sooner(self, model):
+        """The 0 branch is walked first either way, so under any budget the
+        answers agree, except that one root can finish a refutation the
+        full root ran out of budget on."""
+        rng = random.Random(model.order + 1)
+        for _ in range(6):
+            A = random_subset(model, rng, rng.uniform(0.4, 0.8))
+            for k in (3, 4):
+                for find, full in ((find_square_witness, full_root_square_witness),
+                                   (find_triangular_witness, full_root_triangular_witness)):
+                    unlimited = full(A, model, k)
+                    for budget in (0, 1, 2, 3, 5, 8, 13, 30, 100, 300):
+                        got, old = find(A, model, k, budget=budget), full(A, model, k, budget=budget)
+                        if got != old:
+                            assert old == NotFound(exhaustive=False)
+                            assert got == unlimited == NotFound(exhaustive=True)
+
+    def test_zmod64_refutation_is_exhaustive_within_budget(self):
+        """The full root needs 1,579,801 nodes for this refutation, the 0
+        branch 118,438."""
+        m = zn(64)
+        A = generate_set(m, parse_set_spec("bernoulli(1/2,7)"))
+        assert find_square_witness(A, m, 8, budget=200_000) == NotFound(exhaustive=True)
+        assert find_square_witness(A, m, 8, budget=118_437) == NotFound(exhaustive=False)
+
+    def test_zmod32_triangular_refutation_walks_one_branch(self):
+        """On Z_32 every root's branch is a translate of the 0 branch, so
+        the full root spends 32 times the 716 nodes of one."""
+        m = zn(32)
+        A = generate_set(m, parse_set_spec("bernoulli(1/2,7)"))
+        assert find_triangular_witness(A, m, 10, budget=716) == NotFound(exhaustive=True)
+        assert find_triangular_witness(A, m, 10, budget=715) == NotFound(exhaustive=False)
+        assert full_root_triangular_witness(A, m, 10, budget=32 * 716) \
+            == NotFound(exhaustive=True)
+        assert full_root_triangular_witness(A, m, 10, budget=32 * 716 - 1) \
+            == NotFound(exhaustive=False)
+
+    def test_growth_curve_takes_the_one_root(self):
+        m = zn(64)
+        A = generate_set(m, parse_set_spec("bernoulli(1/2,7)"))
+        curve = growth_curve(A, m, 9, budget=200_000)
+        assert [p.found for p in curve] == [True] * 7 + [False] * 2
+        assert all(p.exhaustive for p in curve)
+
+
+class TestIsGroup:
+    def test_cyclic_tables(self):
+        for n in range(1, 13):
+            assert zn(n).is_group == brute_is_associative(zn(n)) is True
+
+    @pytest.mark.parametrize("model", NON_ABELIAN, ids=["s3", "s4"])
+    def test_non_abelian(self, model):
+        assert model.is_group == brute_is_associative(model) is True
+
+    def test_shuffled_cyclic_tables(self):
+        rng = random.Random(5)
+        seen = set()
+        for _ in range(200):
+            model = shuffled_lines(zn(rng.randint(2, 8)), rng)
+            assert model.is_group == brute_is_associative(model)
+            seen.add(model.is_group)
+        assert seen == {False, True}
+
+    @pytest.mark.parametrize("table,group", [
+        (((0, 0), (1, 1)), False),  # x·y = x: associative, no identity
+        (((0, 0), (0, 1)), False),  # x·y = min(x, y): identity 1, 0 has no inverse
+        (((0, 0), (0, 0)), False),
+        (((0,),), True),  # the one Latin square here
+    ], ids=["left-zero", "min", "zero", "trivial"])
+    def test_tables_built_without_the_latin_check(self, table, group):
+        model = CayleyGroup(table)
+        assert model.is_group is group
+        # x·y = x: only b = 1 has a row in A = {1}, so the root must keep it
+        A = DenseSet.from_members(model, [model.order - 1])
+        assert isinstance(find_square_witness(A, model, 1), SquareWitness) \
+            == any(A.contains(x) for row in table for x in row)
+
+    @pytest.mark.parametrize("loop", [False, True], ids=["any", "loop"])
+    def test_random_latin_squares(self, loop):
+        rng = random.Random(6)
+        seen = set()
+        for _ in range(200):
+            model = random_latin_square(rng.randint(1, 7), rng, loop)
+            assert model.is_group == brute_is_associative(model)
+            seen.add(model.is_group)
+        assert seen == {False, True}
 
 
 # A set with every other carrier element, over a model other than the one

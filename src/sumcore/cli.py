@@ -30,6 +30,8 @@ import time
 import traceback
 from fractions import Fraction
 
+import numpy as np
+
 from . import cover as cover_mod
 from . import density as density_mod
 from . import ladder as ladder_mod
@@ -122,8 +124,8 @@ def _not_found(res):
 
 
 def cmd_gen(args, model, A):
-    _write(args.output, set_file_text(A.members(), size=model.carrier_size,
-                                      fmt=args.format))
+    members = np.flatnonzero(A.to_numpy())
+    _write(args.output, set_file_text(members, size=model.carrier_size, fmt=args.format))
 
 
 def cmd_density(args, model, A):

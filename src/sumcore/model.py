@@ -33,10 +33,10 @@ big-int AND of each row's bitset with the c's the row must hold.  Cayley
 integer array.
 """
 
+import io
 import operator
 from dataclasses import dataclass
 from functools import cache, cached_property, partial
-from itertools import accumulate, chain
 
 import numpy as np
 
@@ -563,12 +563,15 @@ def _window_classes(mem, L):
 #     comma-separated alternation gap,run,gap,run,... of lengths summing
 #     to M (a leading gap of 0 is allowed; trailing gap may be omitted).
 #
-# Both are read and written by one decimal codec of whole-array passes over
-# int64 values below 10^18.  What it cannot take exactly goes through int()
-# and str() per value instead, and so does every error: text with anything
-# but ASCII digits and the format's separators (ASCII whitespace; bare
-# commas with no empty token), a token of over 18 digits or RLE sums that
-# could overflow int64; members that numpy does not read as such an array.
+# ``_read_set`` opens a file once and tokenizes it once: by one decimal
+# codec of whole-array passes when the text is ASCII digits and the
+# format's separators (ASCII whitespace; bare commas with no empty token)
+# in tokens of at most 18 digits, else by int() per token over the text
+# that open(path) reads.  One list pass and one RLE pass then check the
+# values and build the members, on int64 arrays, or on Python ints (dtype
+# object) when the tokens needed int() or the RLE sums could overflow
+# int64.  The writer takes the same two dtypes: int64 members in one pass
+# per digit column, anything else through str() per value.
 
 _DIGITS_MAX = 18  # a token of at most 18 digits is below 10^18 < 2^63
 _POW10 = 10 ** np.arange(1, _DIGITS_MAX + 1, dtype=np.int64)
@@ -577,10 +580,13 @@ _ASCII_SPACE = np.isin(np.arange(256), list(b" \t\n\r\x0b\x0c"))
 _COMMA = np.arange(256) == ord(",")
 
 
-def _decimal_bytes(values, sep):
-    """Each of the int64 values in [0, 10^18) in decimal, followed by ``sep``."""
+def _decimal_text(values, sep):
+    """Each of the values (int64 in [0, 2^63), or any ints as dtype
+    object) in decimal, followed by ``sep``."""
+    if values.dtype == object:
+        return "".join(f"{x}{sep}" for x in values.tolist())
     if values.size == 0:
-        return b""
+        return ""
     ndigits = np.searchsorted(_POW10, values, side="right") + 1
     w = int(ndigits.max())
     text = np.empty((values.size, w + 1), dtype=np.uint8)
@@ -592,15 +598,16 @@ def _decimal_bytes(values, sep):
         rest = high
     # row j of keep: the last j digit columns and the separator
     keep = np.arange(w + 1) >= np.arange(w, -1, -1)[:, None]
-    return text[keep.take(ndigits, axis=0)].tobytes()
+    return text[keep.take(ndigits, axis=0)].tobytes().decode("ascii")
 
 
-def _decimal_values(chars, separator):
-    """The runs of ASCII digits in a uint8 array, as int64 values.
+def _decimal_values(raw, separator):
+    """The runs of ASCII digits in the bytes ``raw``, as int64 values.
 
     None when a run has more than 18 digits or a byte is neither a digit nor
     a separator (``separator`` is a bool table over the 256 bytes).
     """
+    chars = np.frombuffer(raw, dtype=np.uint8)
     digit = chars - ord("0")  # wraps to >= 10 for every other byte
     edges = np.zeros(chars.size + 2, dtype=bool)
     edges[1:-1] = digit < 10
@@ -624,42 +631,48 @@ def _sorted_unique(values):
     return values if fresh.all() else values[np.concatenate(([True], fresh))]
 
 
-def _decode_set_bytes(raw):
-    """``read_set_file``'s answer from the file's bytes with the members as
-    a sorted int64 array, or None when the text needs the exact path (which
-    also raises every error)."""
-    text = raw.strip()
-    if not text.startswith(b"RLE1:"):
-        values = _decimal_values(np.frombuffer(raw, dtype=np.uint8), _ASCII_SPACE)
-        return None if values is None else (_sorted_unique(values), None)
-    head, colon, body = text[5:].partition(b":")
-    if not (colon and head.isdigit() and len(head) <= _DIGITS_MAX):
-        return None
-    runs = _decimal_values(np.frombuffer(body, dtype=np.uint8), _COMMA)
-    # no empty token: one token more than commas
-    if runs is None or (body and runs.size != body.count(b",") + 1):
-        return None
-    if runs.size and int(runs.max()) * runs.size >= 2**63:
-        return None
-    size, ends = int(head), np.cumsum(runs)
-    if ends.size and ends[-1] > size:
-        return None
-    lengths = runs[1::2]  # run k holds [end of gap k, end of run k)
-    starts = ends[0::2][:lengths.size] - (np.cumsum(lengths) - lengths)
-    return np.repeat(starts, lengths) + np.arange(lengths.sum()), size
-
-
-def _read_set_bytes(raw):
-    """``_decode_set_bytes`` with the members as a list."""
-    fast = _decode_set_bytes(raw)
-    return None if fast is None else (fast[0].tolist(), fast[1])
-
-
-def _read_set_array(path):
-    """``read_set_file``'s answer with the members as a sorted int64 array,
-    or None when the file needs ``read_set_file``'s exact path."""
+def _read_set(path):
+    """``read_set_file``'s answer with the members as a sorted array: int64,
+    or Python ints (dtype object)."""
     with open(path, "rb") as fh:
-        return _decode_set_bytes(fh.read())
+        raw = fh.read()
+    text, size, values = raw.strip(), None, None
+    if not text.startswith(b"RLE1:"):
+        values = _decimal_values(raw, _ASCII_SPACE)
+    else:
+        head, colon, body = text[5:].partition(b":")
+        if colon and head.isdigit():
+            size, values = int(head), _decimal_values(body, _COMMA)
+            # no empty token: one token more than commas
+            if body and values is not None and values.size != body.count(b",") + 1:
+                values = None
+    if values is None:  # open(path)'s text: same decoding and newlines
+        text = io.TextIOWrapper(io.BytesIO(raw)).read().strip()
+        tokens = text.split()
+        if text.startswith("RLE1:"):
+            parts = text.split(":", 2)
+            if len(parts) != 3:
+                raise SumcoreError(f"malformed RLE1 header in {path}")
+            size = int(parts[1])
+            if size < 0:
+                raise SumcoreError("negative RLE1 size")
+            tokens = parts[2].split(",") if parts[2] else []
+        values = np.array([*map(int, tokens)], dtype=object)
+    if size is None:
+        if values.size and values.min() < 0:
+            raise SumcoreError("set files hold non-negative integers")
+        return _sorted_unique(values), None
+    if values.size and values.min() < 0:
+        raise SumcoreError("negative run length")
+    if values.size and int(values.max()) * values.size >= 2**63:
+        values = values.astype(object)  # the sums could overflow int64
+    ends = np.cumsum(values)
+    if ends.size and ends[-1] > size:
+        raise SumcoreError("RLE1 runs overflow the declared size")
+    lengths = values[1::2]  # run k holds [end of gap k, end of run k)
+    starts = ends[0::2][:lengths.size] - (np.cumsum(lengths) - lengths)
+    offsets = np.arange(lengths.sum(), dtype=values.dtype)
+    return np.repeat(starts, lengths.astype(np.int64)) + offsets, size
 
 
 def read_set_file(path):
@@ -667,33 +680,8 @@ def read_set_file(path):
 
     ``members`` is a sorted list of distinct Python ints.
     """
-    with open(path, "rb") as fh:
-        fast = _read_set_bytes(fh.read())
-    if fast is not None:
-        return fast
-    with open(path) as fh:
-        text = fh.read()
-    stripped = text.strip()
-    if stripped.startswith("RLE1:"):
-        parts = stripped.split(":", 2)
-        if len(parts) != 3:
-            raise SumcoreError(f"malformed RLE1 header in {path}")
-        size = int(parts[1])
-        if size < 0:
-            raise SumcoreError("negative RLE1 size")
-        runs = list(map(int, parts[2].split(","))) if parts[2] else []
-        if runs and min(runs) < 0:
-            raise SumcoreError("negative run length")
-        ends = list(accumulate(runs))
-        if ends and ends[-1] > size:
-            raise SumcoreError("RLE1 runs overflow the declared size")
-        # run k holds [end of gap k, end of run k); a trailing gap has no run
-        members = list(chain.from_iterable(map(range, ends[0::2], ends[1::2])))
-        return members, size
-    members = sorted(set(map(int, stripped.split())))
-    if members and members[0] < 0:
-        raise SumcoreError("set files hold non-negative integers")
-    return members, None
+    members, size = _read_set(path)
+    return members.tolist(), size
 
 
 def _set_file_int(x):
@@ -704,9 +692,9 @@ def _set_file_int(x):
 
 
 def _sorted_members(members):
-    """The distinct members in increasing order: an int64 array when
-    ``members`` is a 1-D integer array (or a list or tuple numpy reads as
-    one) with every value in [0, 10^18), else a list of Python ints."""
+    """The distinct members as an increasing array: int64 when ``members``
+    is a 1-D integer array (or a list or tuple numpy reads as one) with
+    every value in [0, 2^63), else Python ints (dtype object)."""
     if isinstance(members, (list, tuple, np.ndarray)):
         try:
             values = np.asarray(members)
@@ -714,9 +702,9 @@ def _sorted_members(members):
             values = np.zeros(0)
         if values.ndim == 1 and values.size and values.dtype.kind in "iu":
             values = _sorted_unique(values)
-            if values[0] >= 0 and values[-1] < 10**_DIGITS_MAX:
+            if values[0] >= 0 and values[-1] < 2**63:
                 return values.astype(np.int64, copy=False)
-    return sorted(set(map(_set_file_int, members)))
+    return np.array(sorted(set(map(_set_file_int, members))), dtype=object)
 
 
 def set_file_text(members, size=None, fmt="list"):
@@ -725,35 +713,31 @@ def set_file_text(members, size=None, fmt="list"):
     Members are non-negative integers, all below ``size`` when it is given.
     """
     members = _sorted_members(members)
-    if len(members) and members[0] < 0:
+    if members.size and members[0] < 0:
         raise SumcoreError("set files hold non-negative integers")
     if size is not None:
         size = _set_file_int(size)
-        if size < 0 or (len(members) and members[-1] >= size):
+        if size < 0 or (members.size and members[-1] >= size):
             raise SumcoreError(f"set file members lie in [0, {size})")
-    fast = isinstance(members, np.ndarray)
     if fmt == "list":
-        if fast:
-            return _decimal_bytes(members, b"\n").decode("ascii")
-        return "\n".join(map(str, members)) + "\n" if members else ""
+        return _decimal_text(members, "\n")
     if fmt != "rle":
         raise SumcoreError(f"unknown set file format {fmt!r}")
     if size is None:
-        size = int(members[-1]) + 1 if len(members) else 0
-    runs, pos = np.zeros(0, dtype=np.int64), 0
-    if len(members):
-        m = members if fast else np.asarray(members, dtype=object)  # exact ints
-        cut = np.flatnonzero(np.diff(m) != 1) + 1  # where a new run starts
-        starts = m[np.concatenate(([0], cut))]
-        stops = m[np.concatenate((cut - 1, [m.size - 1]))] + 1
+        size = int(members[-1]) + 1 if members.size else 0
+    if size >= 2**63:  # runs past int64
+        members = members.astype(object)
+    runs, pos = np.zeros(0, dtype=members.dtype), 0
+    if members.size:
+        cut = np.flatnonzero(np.diff(members) != 1) + 1  # where a new run starts
+        starts = members[np.concatenate(([0], cut))]
+        stops = members[np.concatenate((cut - 1, [members.size - 1]))] + 1
         gaps = starts - np.concatenate(([0], stops[:-1]))
         runs = np.column_stack((gaps, stops - starts)).ravel()
         pos = int(stops[-1])
     if pos < size:
         runs = np.append(runs, size - pos)
-    if fast and size < 10**_DIGITS_MAX:
-        return f"RLE1:{size}:" + _decimal_bytes(runs, b",")[:-1].decode("ascii") + "\n"
-    return f"RLE1:{size}:" + ",".join(map(str, runs.tolist())) + "\n"
+    return f"RLE1:{size}:" + _decimal_text(runs, ",")[:-1] + "\n"
 
 
 def write_set_file(path, members, size=None, fmt="list"):

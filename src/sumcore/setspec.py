@@ -25,14 +25,15 @@ with all arithmetic mod 2^64 and ``splitmix64`` the standard finalizer
 """
 
 import re
-from bisect import bisect_left
 from dataclasses import dataclass, fields
 from fractions import Fraction
 
 import numpy as np
 
 from .errors import ParseError, SpecOutOfRange
-from .model import DenseSet, _read_set_array, bits_of, from_mask, read_set_file, shift_bits
+from .model import DenseSet, _read_set, bits_of, from_mask, shift_bits
+# bench/tracing.py wraps ``sumcore.setspec.read_set_file`` by name
+from .model import read_set_file  # noqa: F401
 
 MASK64 = (1 << 64) - 1
 GOLDEN = 0x9E3779B97F4A7C15
@@ -188,11 +189,9 @@ def generate_set(model, spec) -> DenseSet:
                     raise SpecOutOfRange(f"explicit member {x} outside carrier")
             return bits_of(node.members)
         if isinstance(node, FileSet):
-            # an int64 array; the exact path's list also raises every error
-            fast = _read_set_array(node.path)
-            members = read_set_file(node.path)[0] if fast is None else fast[0]
+            members = _read_set(node.path)[0]
             # sorted and non-negative: members >= n are ignored
-            return bits_of(members[:bisect_left(members, n)])
+            return bits_of(members[:np.searchsorted(members, n)].astype(np.int64, copy=False))
         if isinstance(node, Union):
             return ev(node.left) | ev(node.right)
         if isinstance(node, Intersect):

@@ -41,7 +41,7 @@ from sumcore.errors import (
     NotALatinSquare,
     SumcoreError,
 )
-from sumcore.model import CayleyGroup, Relation, ints, iter_bits, translate
+from sumcore.model import CayleyGroup, Relation, bits_of, ints, iter_bits, translate
 from sumcore.search import Budget, preorder
 from sumcore.setspec import splitmix_stream
 
@@ -689,6 +689,125 @@ def text_read_set_file(path):
     if members and members[0] < 0:
         raise SumcoreError("set files hold non-negative integers")
     return members, None
+
+
+# The set-file reader as it stood with two paths: a whole-array decimal codec
+# (``_decode_set_bytes``) and, for what the codec refuses, per-token int()
+# over a second open of the file (``codec_read_set_file``'s exact path).
+
+_DIGITS_MAX = 18  # a token of at most 18 digits is below 10^18 < 2^63
+# separator bytes: those bytes.split() splits on, and the comma
+_ASCII_SPACE = np.isin(np.arange(256), list(b" \t\n\r\x0b\x0c"))
+_COMMA = np.arange(256) == ord(",")
+
+
+def _decimal_values(chars, separator):
+    """The runs of ASCII digits in a uint8 array, as int64 values.
+
+    None when a run has more than 18 digits or a byte is neither a digit nor
+    a separator (``separator`` is a bool table over the 256 bytes).
+    """
+    digit = chars - ord("0")  # wraps to >= 10 for every other byte
+    edges = np.zeros(chars.size + 2, dtype=bool)
+    edges[1:-1] = digit < 10
+    if not (edges[1:-1] | separator.take(chars)).all():
+        return None
+    bounds = np.flatnonzero(edges[1:] != edges[:-1])
+    starts, ends = bounds[0::2], bounds[1::2]
+    lengths = ends - starts
+    w = int(lengths.max()) if lengths.size else 0
+    if w > _DIGITS_MAX:
+        return None
+    values = np.zeros(lengths.size, dtype=np.int64)
+    for k in range(w, 0, -1):  # Horner over the right-aligned digit columns
+        values = values * 10 + digit.take(ends - k, mode="clip") * (lengths >= k)
+    return values
+
+
+def _sorted_unique(values):
+    values = np.sort(values)
+    fresh = values[1:] != values[:-1]
+    return values if fresh.all() else values[np.concatenate(([True], fresh))]
+
+
+def _decode_set_bytes(raw):
+    """``read_set_file``'s answer from the file's bytes with the members as
+    a sorted int64 array, or None when the text needs the exact path (which
+    also raises every error)."""
+    text = raw.strip()
+    if not text.startswith(b"RLE1:"):
+        values = _decimal_values(np.frombuffer(raw, dtype=np.uint8), _ASCII_SPACE)
+        return None if values is None else (_sorted_unique(values), None)
+    head, colon, body = text[5:].partition(b":")
+    if not (colon and head.isdigit() and len(head) <= _DIGITS_MAX):
+        return None
+    runs = _decimal_values(np.frombuffer(body, dtype=np.uint8), _COMMA)
+    # no empty token: one token more than commas
+    if runs is None or (body and runs.size != body.count(b",") + 1):
+        return None
+    if runs.size and int(runs.max()) * runs.size >= 2**63:
+        return None
+    size, ends = int(head), np.cumsum(runs)
+    if ends.size and ends[-1] > size:
+        return None
+    lengths = runs[1::2]  # run k holds [end of gap k, end of run k)
+    starts = ends[0::2][:lengths.size] - (np.cumsum(lengths) - lengths)
+    return np.repeat(starts, lengths) + np.arange(lengths.sum()), size
+
+
+def _read_set_bytes(raw):
+    """``_decode_set_bytes`` with the members as a list."""
+    fast = _decode_set_bytes(raw)
+    return None if fast is None else (fast[0].tolist(), fast[1])
+
+
+def _read_set_array(path):
+    """``read_set_file``'s answer with the members as a sorted int64 array,
+    or None when the file needs ``read_set_file``'s exact path."""
+    with open(path, "rb") as fh:
+        return _decode_set_bytes(fh.read())
+
+
+def codec_read_set_file(path):
+    """Read a set file; returns (members, declared_size_or_None).
+
+    ``members`` is a sorted list of distinct Python ints.
+    """
+    with open(path, "rb") as fh:
+        fast = _read_set_bytes(fh.read())
+    if fast is not None:
+        return fast
+    with open(path) as fh:
+        text = fh.read()
+    stripped = text.strip()
+    if stripped.startswith("RLE1:"):
+        parts = stripped.split(":", 2)
+        if len(parts) != 3:
+            raise SumcoreError(f"malformed RLE1 header in {path}")
+        size = int(parts[1])
+        if size < 0:
+            raise SumcoreError("negative RLE1 size")
+        runs = list(map(int, parts[2].split(","))) if parts[2] else []
+        if runs and min(runs) < 0:
+            raise SumcoreError("negative run length")
+        ends = list(accumulate(runs))
+        if ends and ends[-1] > size:
+            raise SumcoreError("RLE1 runs overflow the declared size")
+        # run k holds [end of gap k, end of run k); a trailing gap has no run
+        members = list(chain.from_iterable(map(range, ends[0::2], ends[1::2])))
+        return members, size
+    members = sorted(set(map(int, stripped.split())))
+    if members and members[0] < 0:
+        raise SumcoreError("set files hold non-negative integers")
+    return members, None
+
+
+def codec_file_bits(path, n):
+    """The file(...) leaf's bitset over a carrier of size n, through the
+    two-path reader: an int64 array, else the exact path's list."""
+    fast = _read_set_array(path)
+    members = codec_read_set_file(path)[0] if fast is None else fast[0]
+    return bits_of(members[:bisect_left(members, n)])
 
 
 def text_set_file_text(members, size=None, fmt="list"):

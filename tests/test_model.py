@@ -20,9 +20,17 @@ from sumcore import (
     translate,
     write_set_file,
 )
-from sumcore.model import Relation, _read_set_bytes, bits_of, iter_bits, set_file_text
+from sumcore.model import Relation, _read_set, bits_of, iter_bits, set_file_text
 
-from .oracles import loop_cayley_model, text_read_set_file, text_set_file_text
+from sumcore.setspec import FileSet, generate_set
+
+from .oracles import (
+    codec_file_bits,
+    codec_read_set_file,
+    loop_cayley_model,
+    text_read_set_file,
+    text_set_file_text,
+)
 
 
 def zw(M, L):
@@ -419,7 +427,7 @@ class TestSetFileCodecEqualsText:
             with open(path, "w") as fh:
                 fh.write(text)
             assert read_set_file(path) == text_read_set_file(path)
-            assert _read_set_bytes(text.encode()) == text_read_set_file(path)  # no fallback
+            assert _read_set(path)[0].dtype == np.int64  # the codec's tokens, no int()
 
     @pytest.mark.parametrize("fmt", ["list", "rle"])
     @pytest.mark.parametrize("members, size", [
@@ -446,6 +454,13 @@ class TestSetFileCodecEqualsText:
             assert set_file_text(members, size=3000, fmt=fmt) == \
                 text_set_file_text(members.tolist(), size=3000, fmt=fmt)
 
+    @pytest.mark.parametrize("members", [[], [15], np.array([15, 16], dtype=np.uint64)])
+    @pytest.mark.parametrize("size", [2**63, 2**64 - 1, 2**64])
+    def test_sizes_past_int64_give_integer_runs(self, members, size):
+        # the two-path writer wrote these runs as floats
+        assert set_file_text(members, size=size, fmt="rle") == \
+            text_set_file_text(np.asarray(members).tolist(), size=size, fmt="rle")
+
     @pytest.mark.parametrize("raw", [
         b"", b" \n\t ", b"5", b"1\t2\t\t3\n", b"1\r\n2\r\n3\r\n", b"1\x0b2\x0c3\r4",
         b"\n\n5\n\n\n7\n\n", b"007\n7\n0\n00\n", b"+5\n3\n", b"1_0\n", b"-3\n4\n", b"-0\n",
@@ -467,6 +482,76 @@ class TestSetFileCodecEqualsText:
         path = tmp_path / "a.set"
         path.write_bytes(raw)
         assert _outcome(read_set_file, path) == _outcome(text_read_set_file, path)
+
+
+
+_SPACES = [" ", "\n", "\t", "\r", "\r\n", "\x0b", "\x0c"]
+
+
+def _fuzz_token(rng, big, junk):
+    """A list member or an RLE length: digits (17, 19 or 21 of them when
+    ``big``), or, when ``junk``, sometimes what only int() takes or junk."""
+    kind = rng.randrange(8)
+    if kind == 0 and big:
+        digits = rng.choices("0123456789", k=rng.choice((16, 18, 20)))
+        return rng.choice("123456789") + "".join(digits)
+    if kind == 1:
+        return "0" * rng.randrange(1, 4) + str(rng.randrange(10))
+    if kind > 5 and junk:
+        return rng.choice(["+5", "-3", "-0", "1_0", "_1", "\u0663", "1\u0663", "x", "", " 7",
+                           "7\r", "\r7", "x\r", "\rx", "3\x1c"])
+    return str(rng.randrange(64))
+
+
+def _fuzz_set_file(rng):
+    """Random set-file bytes, half of them with junk: int()-only tokens,
+    odd separators, stray characters and bytes.  An RLE file's runs (its
+    odd tokens) stay small, so a valid file holds a few hundred members
+    however large its declared size or its gaps."""
+    junk = rng.random() < 0.5
+    spaces = _SPACES + ["\x1c", "\n\r"] * junk
+    lead = "".join(rng.choices(spaces, k=rng.randrange(3)))
+    tail = rng.choice(["", "\n", "\r\n", " "] + ["\x1c", ",", "\r"] * junk)
+    if rng.random() < 0.4:
+        tokens = [_fuzz_token(rng, True, junk) for _ in range(rng.randrange(8))]
+        text = "".join(t + rng.choice(spaces + [",", ":"] * junk) for t in tokens)
+    else:
+        head = rng.choice([str(rng.randrange(200)), str(rng.randrange(1000)),
+                           str(rng.randrange(10**17, 10**20)),
+                           f"-{rng.randrange(1, 9)}", _fuzz_token(rng, True, junk)])
+        runs = [_fuzz_token(rng, k % 2 == 0, junk) for k in range(rng.randrange(10))]
+        colon = ":" if rng.random() < 0.9 else ""
+        text = "RLE1:" + head + colon + rng.choice([","] * 4 + [" ", "\r"] * junk).join(runs)
+    text = lead + text + tail
+    for _ in range(rng.choice((0, 1, 2)) * junk):  # neither a digit nor a comma
+        k = rng.randrange(len(text) + 1)
+        text = text[:k] + rng.choice("+-_x\u0663\x1c \r\n:") + text[k:]
+    raw = text.encode()
+    return rng.choice([raw] * 8 + [b"\xef\xbb\xbf" + raw, raw + b"\xff"] * junk)
+
+
+def _result(fn, *args):
+    """fn's result, or the type and message of the exception it raised."""
+    try:
+        return fn(*args)
+    except Exception as exc:  # compared against the two-path reader's
+        return type(exc), str(exc)
+
+
+class TestSetFileFuzz:
+    """read_set_file and the file(...) leaf against the two-path reader they
+    replaced (``tests/oracles.py``), on seeded random files."""
+
+    def test_fuzzed_files(self, tmp_path):
+        rng = random.Random(23)
+        model = zw(64, 32)
+        path = tmp_path / "a.set"
+        for _ in range(2000):
+            raw = _fuzz_set_file(rng)
+            path.write_bytes(raw)
+            assert _result(read_set_file, path) == _result(codec_read_set_file, path), raw
+            leaf = _outcome(lambda: generate_set(model, FileSet(str(path))).bits)
+            assert leaf == _outcome(codec_file_bits, path, 64), raw
 
 
 def test_iter_bits_helpers():

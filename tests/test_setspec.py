@@ -233,14 +233,15 @@ class TestFileLeaf:
     @pytest.mark.parametrize("raw, exact", [
         (b"1\n5\n", False), (b"RLE1:10:2,3\n", False), (b"+5\n", True), (b"x", True)])
     def test_codec_files_build_no_list(self, tmp_path, monkeypatch, raw, exact):
-        # only a file the whole-array codec refuses goes through read_set_file
+        # no file goes through read_set_file's list, not even one whose
+        # tokens need int() (exact)
         calls = []
         monkeypatch.setattr(setspec, "read_set_file",
                             lambda p: calls.append(p) or read_set_file(p))
         path = tmp_path / "a.set"
         path.write_bytes(raw)
         _outcome(generate_set, zw(64, 32), FileSet(str(path)))
-        assert calls == ([str(path)] if exact else [])
+        assert calls == []
 
 
 class TestGeneratorEquivalence:

@@ -54,7 +54,9 @@ def parse_model_arg(text):
             n = sizes[0]
             if n < 1:
                 raise BadBounds(f"zmod:n needs n >= 1, got n={n}")
-            return CayleyGroup(cyclic_table(n))  # a Latin square by construction
+            group = CayleyGroup(cyclic_table(n))  # a Latin square by construction
+            vars(group)["is_group"] = True  # and a group: Light's test need not run
+            return group
     if kind == "cayley" and colon:
         with open(rest) as fh:
             table = json.load(fh)

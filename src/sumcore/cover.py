@@ -16,8 +16,10 @@ optimum.  The same question fixes the lex-least optimal cover one
 translate at a time, allowing the candidate at position i only the shifts
 above i (``_lex_min_cover`` says why).  The search keeps each core
 element's bitmask of covering shifts, branches on the element with the
-fewest allowed, bans each option from its later siblings' subtrees, and
-decides the last translate as one AND of masks.  The certificate names,
+fewest allowed, bans each option from its later siblings' subtrees, skips
+a child whose last two translates cannot cover what it leaves (the two
+largest gains fall short, checked for all siblings at once), and decides
+the last translate as one AND of masks.  The certificate names,
 for every core element, the translate covering it.
 """
 
@@ -54,8 +56,10 @@ class Infeasible:
 
 def _cover_problem(A, model, core, shifts):
     """Validated core, the sorted shifts whose translate meets it (no greedy
-    step or minimal cover uses another) and their rows: bit e of rows[i] is
-    core element lo + e of the translate by order[i]."""
+    step or minimal cover uses another), their rows (bit e of rows[i] is
+    core element lo + e of the translate by order[i]) and the rows as a
+    shifts × core 0/1 matrix where the model already built one (a Cayley
+    group), else None."""
     if A.model != model:
         raise ModelMismatch("set and model disagree")
     if isinstance(model, CayleyGroup):
@@ -90,10 +94,13 @@ def _cover_problem(A, model, core, shifts):
         cut = cut >> (lo - g_max) if lo >= g_max else cut << (g_max - lo)
         width = (1 << (hi - lo)) - 1
         rows = [(cut >> (g_max - g)) & width for g in order]
+        grid = None
     else:
         raise ModelMismatch(f"unsupported model {model!r}")
     kept = [i for i, r in enumerate(rows) if r]
-    return core, [order[i] for i in kept], [rows[i] for i in kept]
+    if grid is not None and len(kept) < len(rows):
+        grid = grid[kept]  # a Cayley group's rows are all empty or none
+    return core, [order[i] for i in kept], [rows[i] for i in kept], grid
 
 
 def _bound(rows, uncovered):
@@ -122,7 +129,7 @@ def min_translate_cover(A: DenseSet, model, core=None, shifts=None,
         raise ValueError(f"t_max must be >= 0, got {t_max}")
     if mode not in ("exact", "greedy"):
         raise ValueError(f"unknown mode {mode!r}")
-    core, order, rows = _cover_problem(A, model, core, shifts)
+    core, order, rows, grid = _cover_problem(A, model, core, shifts)
     lo, hi = core
     full = (1 << (hi - lo)) - 1
     counting_lb = _bound(rows, full)
@@ -153,44 +160,71 @@ def min_translate_cover(A: DenseSet, model, core=None, shifts=None,
     # reported Infeasible, so no t beyond either is asked about
     if counting_lb > t_max:
         return Infeasible(lower_bound=counting_lb, uncovered_element=None)
-    masks = _shift_masks(rows, hi - lo)
+    if grid is None:
+        nbytes = (hi - lo + 7) // 8
+        raw = b"".join(r.to_bytes(nbytes, "little") for r in rows)
+        grid = np.unpackbits(np.frombuffer(raw, np.uint8).reshape(len(rows), nbytes),
+                             axis=1, count=hi - lo, bitorder="little")
+    # masks[e]: the bitset of the shift indices whose row holds core offset e
+    masks = [int.from_bytes(col.tobytes(), "little")
+             for col in np.packbits(grid.T, axis=1, bitorder="little")]
     every = (1 << len(order)) - 1
     t_star = len(greedy_cover)
     for t in range(counting_lb, min(t_star, t_max + 1)):
-        if _exists_cover(rows, masks, full, every, t):
+        if _exists_cover(rows, masks, grid, full, every, t):
             t_star = t
             break
     if t_star > t_max:
         return Infeasible(lower_bound=max(counting_lb, t_max + 1),
                           uncovered_element=None)
-    return _certificate(order, rows, _lex_min_cover(rows, masks, full, t_star), core,
+    return _certificate(order, rows, _lex_min_cover(rows, masks, grid, full, t_star), core,
                         optimal=True, method="exact")
 
 
-def _shift_masks(rows, width):
-    """Transpose of ``rows``: for each core offset e < width, the bitset of
-    the shift indices i whose row holds e.  One numpy transpose of the
-    bit matrix instead of a Python loop over every (shift, element) pair.
+def _pair_bound(R, uncovered, options, allowed):
+    """For each option k, in increasing order: can two of the shifts in
+    ``allowed`` minus options 0..k cover ``uncovered`` minus row k?
+
+    R is the shifts × core 0/1 matrix.  Two shifts cover a set only if
+    the two largest gains |row ∩ set| among them sum to at least its size,
+    so a False verdict is a proof that no such pair exists; True proves
+    nothing.  One integer ``einsum`` over R's uncovered columns gives every
+    option's gains at once.
     """
-    nbytes = (width + 7) // 8
-    raw = b"".join(r.to_bytes(nbytes, "little") for r in rows)
-    grid = np.unpackbits(np.frombuffer(raw, np.uint8).reshape(len(rows), nbytes),
-                         axis=1, count=width, bitorder="little")
-    packed = np.packbits(grid.T, axis=1, bitorder="little")
-    return [int.from_bytes(col.tobytes(), "little") for col in packed]
+    opts, shifts = _indices(options), _indices(allowed)
+    held = R[:, _indices(uncovered)].astype(np.int32)
+    left = 1 - held[opts]                    # option k's uncovered columns
+    gains = np.einsum("je,ke->jk", held[shifts], left)
+    k = np.arange(len(opts))
+    rank = np.full(len(R), len(opts))
+    rank[opts] = k
+    gains[k >= rank[shifts, None]] = 0       # option k bans options 0..k
+    first = gains.argmax(0)
+    best = gains[first, k]
+    gains[first, k] = 0
+    return best + gains.max(0) >= left.sum(1)
 
 
-def _exists_cover(rows, masks, uncovered, allowed, size_limit):
+def _indices(bits):
+    """The indices of the set bits of ``bits`` as an increasing array."""
+    raw = bits.to_bytes((bits.bit_length() + 7) // 8, "little")
+    return np.flatnonzero(np.unpackbits(np.frombuffer(raw, np.uint8), bitorder="little"))
+
+
+def _exists_cover(rows, masks, grid, uncovered, allowed, size_limit):
     """Do at most size_limit of the allowed shifts cover ``uncovered``?
 
     Shifts are indices into ``rows`` (each a bitset of core offsets) and
     ``allowed`` is a bitset of them; ``masks[e]`` is the bitset of shifts
-    whose row holds e.  A node branches on the uncovered element with the
-    fewest allowed shifts, and its j-th option bans options 0..j-1 from
-    its subtree: a cover using one of them was searched by an earlier
-    sibling.  A node is pruned when the counting bound over its allowed
-    shifts exceeds its size limit; with one translate left, the answer is
-    whether one allowed shift lies in every uncovered element's mask.
+    whose row holds e, and ``grid`` holds the rows as a 0/1 matrix.  A
+    node branches on the uncovered element with the fewest allowed shifts,
+    and its j-th option bans options 0..j-1 from its subtree: a cover using
+    one of them was searched by an earlier sibling.  A node is pruned when
+    the counting bound over its allowed shifts exceeds its size limit.
+    Once the first child of a three-translate node has failed,
+    ``_pair_bound`` skips every later child that two translates cannot
+    finish.  With one translate left, the answer is whether one allowed
+    shift lies in every uncovered element's mask.
     """
     def one_covers(uncovered, allowed):
         """Does one allowed shift hold every uncovered element?"""
@@ -224,11 +258,15 @@ def _exists_cover(rows, masks, uncovered, allowed, size_limit):
         if size_limit > 2 and \
                 _bound([rows[i] for i in iter_bits(meeting)], uncovered) > size_limit:
             return
-        for i in iter_bits(options):
+        finishes = None
+        for k, i in enumerate(iter_bits(options)):
             allowed ^= 1 << i
             rest = uncovered & ~rows[i]
             if size_limit > 2:
-                yield rest, allowed, size_limit - 1
+                if k == 1 and size_limit == 3:  # the first child has failed
+                    finishes = _pair_bound(grid, uncovered, options, meeting)
+                if finishes is None or finishes[k]:
+                    yield rest, allowed, size_limit - 1
             elif one_covers(rest, allowed):
                 yield 0, allowed, 0
 
@@ -236,7 +274,7 @@ def _exists_cover(rows, masks, uncovered, allowed, size_limit):
     return any(not node[0] for node in preorder(root, children))
 
 
-def _lex_min_cover(rows, masks, uncovered, t_star):
+def _lex_min_cover(rows, masks, grid, uncovered, t_star):
     """Indices of the lexicographically least cover of the optimal size
     t_star.
 
@@ -248,15 +286,23 @@ def _lex_min_cover(rows, masks, uncovered, t_star):
     completion used an unchosen shift h below i, then h lies between two
     earlier picks, or before the first one, or between the last pick and
     i, and at that step h would have extended the chosen set too, so the
-    scan would have picked h.
+    scan would have picked h.  With two translates left after a pick,
+    candidate i is a three-translate node's child that allows the shifts
+    above i, so once the first candidate has failed ``_pair_bound``
+    skips every later one that two translates cannot finish.
     """
     chosen = []
     every = (1 << len(rows)) - 1
     start = 0
     while uncovered:
+        left = t_star - len(chosen) - 1
+        finishes = None
         for i in range(start, len(rows)):
-            if _exists_cover(rows, masks, uncovered & ~rows[i], every >> (i + 1) << (i + 1),
-                             t_star - len(chosen) - 1):
+            if i == start + 1 and left == 2:
+                above = every >> start << start
+                finishes = _pair_bound(grid, uncovered, above, above)
+            if (finishes is None or finishes[i - start]) and _exists_cover(
+                    rows, masks, grid, uncovered & ~rows[i], every >> (i + 1) << (i + 1), left):
                 break
         chosen.append(i)
         uncovered &= ~rows[i]
@@ -304,7 +350,7 @@ def verify_cover(cert: CoverCertificate, A: DenseSet, model) -> bool:
 
 def counting_lower_bound(A: DenseSet, model, core, shifts=None) -> int:
     """ceil(|core| / max_g |gA ∩ core|), a lower bound on any cover size."""
-    (lo, hi), _, rows = _cover_problem(A, model, core, shifts)
+    (lo, hi), _, rows, _ = _cover_problem(A, model, core, shifts)
     lb = _bound(rows, (1 << (hi - lo)) - 1)
     if lb is None:
         raise BadCore("no translate meets the core")

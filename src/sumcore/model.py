@@ -631,9 +631,11 @@ def _sorted_unique(values):
     return values if fresh.all() else values[np.concatenate(([True], fresh))]
 
 
-def _read_set(path):
+def _read_set(path, n=None):
     """``read_set_file``'s answer with the members as a sorted array: int64,
-    or Python ints (dtype object)."""
+    or Python ints (dtype object).  Given ``n``, an RLE file's runs are cut
+    at n after every check, so its members below n come out and no run is
+    expanded past n; a list file's members are all returned."""
     with open(path, "rb") as fh:
         raw = fh.read()
     text, size, values = raw.strip(), None, None
@@ -670,7 +672,10 @@ def _read_set(path):
     if ends.size and ends[-1] > size:
         raise SumcoreError("RLE1 runs overflow the declared size")
     lengths = values[1::2]  # run k holds [end of gap k, end of run k)
-    starts = ends[0::2][:lengths.size] - (np.cumsum(lengths) - lengths)
+    starts = ends[0::2][:lengths.size]
+    if n is not None:
+        lengths = np.clip(n - starts, 0, lengths)
+    starts = starts - (np.cumsum(lengths) - lengths)
     offsets = np.arange(lengths.sum(), dtype=values.dtype)
     return np.repeat(starts, lengths.astype(np.int64)) + offsets, size
 

@@ -189,7 +189,7 @@ def generate_set(model, spec) -> DenseSet:
                     raise SpecOutOfRange(f"explicit member {x} outside carrier")
             return bits_of(node.members)
         if isinstance(node, FileSet):
-            members = _read_set(node.path)[0]
+            members = _read_set(node.path, n)[0]
             # sorted and non-negative: members >= n are ignored
             return bits_of(members[:np.searchsorted(members, n)].astype(np.int64, copy=False))
         if isinstance(node, Union):

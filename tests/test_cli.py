@@ -37,6 +37,14 @@ class TestModelArg:
         assert json.loads(out)["error"] == {
             "type": "BadBounds", "message": f"zmod:n needs n >= 1, got n={n}"}
 
+    @pytest.mark.parametrize("n", [1, 2, 60])
+    def test_zmod_is_known_to_be_a_group(self, n):
+        # recorded at parse time: neither the table array nor Light's test is built
+        m = parse_model_arg(f"zmod:{n}")
+        assert m.is_group is True
+        assert "_table_array" not in vars(m)
+        assert CayleyGroup(cyclic_table(n)).is_group is True
+
     @pytest.mark.parametrize("n", [1, 2, 7, 60])
     def test_zmod_is_the_validated_cyclic_table(self, n):
         assert parse_model_arg(f"zmod:{n}") == build_model(

@@ -1,4 +1,7 @@
 import random
+import sys
+from collections import Counter
+from itertools import combinations_with_replacement
 
 import numpy as np
 import pytest
@@ -21,7 +24,9 @@ from sumcore import (
     verify_cover,
 )
 
-from sumcore.cover import _cover_problem
+from sumcore import cover as cover_mod
+from sumcore.cover import _cover_problem, _pair_bound
+from sumcore.model import from_mask, iter_bits
 
 from . import oracles
 from .oracles import scan_min_cover
@@ -269,7 +274,8 @@ class TestExactEqualsScan:
         shifts = range(g0, g0 + rng.randint(1, 30))
         return A, m, {"core": (lo, hi), "shifts": shifts, "t_max": rng.randint(0, 12)}
 
-    def test_equals_scan_on_random_instances(self):
+    def test_equals_scan_on_random_instances(self, monkeypatch):
+        verdicts = spy_pair_bound(monkeypatch)
         rng = random.Random(20261019)
         kinds = set()
         for _ in range(600):
@@ -283,6 +289,9 @@ class TestExactEqualsScan:
             else:
                 kinds.add("uncoverable element")
         assert len(kinds) == 3
+        # both callers ran the pair bound, and it skipped children in both
+        for caller in ("children", "_lex_min_cover"):
+            assert verdicts[caller, "calls"] > 0 and verdicts[caller, "skipped"] > 0, verdicts
 
     def test_equals_scan_on_non_abelian_groups(self):
         rng = random.Random(20261020)
@@ -332,10 +341,60 @@ class TestExactEqualsScan:
                 counting_lower_bound(A, m, (0, 64), same)
 
 
+def spy_pair_bound(monkeypatch):
+    """Count ``_pair_bound``'s calls and False verdicts by calling function:
+    ``children`` (a node of ``_exists_cover``) or ``_lex_min_cover``."""
+    seen = Counter()
+
+    def spy(*args):
+        verdicts = real(*args)
+        caller = sys._getframe(1).f_code.co_name
+        seen[caller, "calls"] += 1
+        seen[caller, "skipped"] += int((~verdicts).sum())
+        return verdicts
+
+    real = cover_mod._pair_bound
+    monkeypatch.setattr(cover_mod, "_pair_bound", spy)
+    return seen
+
+
+class TestPairBound:
+    """``_pair_bound`` on seeded random 0/1 matrices: each verdict is the
+    top-two gain test, and a child it rejects has no cover by one or two
+    of its allowed shifts (brute force over pairs)."""
+
+    def test_rejected_children_have_no_two_cover(self):
+        rng = random.Random(20261020)
+        outcomes = Counter()
+        for _ in range(300):
+            n_shifts, width = rng.randint(2, 14), rng.randint(1, 12)
+            p = rng.uniform(0.1, 0.6)
+            grid = np.array([[rng.random() < p for _ in range(width)]
+                             for _ in range(n_shifts)], dtype=rng.choice([bool, np.uint8]))
+            rows = [from_mask(r) for r in grid]
+            uncovered = rng.randint(1, (1 << width) - 1)
+            allowed = rng.randint(1, (1 << n_shifts) - 1)
+            options = allowed & rng.randint(1, (1 << n_shifts) - 1) or allowed
+            verdicts = _pair_bound(grid, uncovered, options, allowed)
+            opts = list(iter_bits(options))
+            assert verdicts.shape == (len(opts),)
+            for k, o in enumerate(opts):
+                rest = uncovered & ~rows[o]
+                allowed &= ~(1 << o)  # child k bans options 0..k
+                gains = sorted((rows[j] & rest).bit_count() for j in iter_bits(allowed))
+                assert verdicts[k] == (sum(gains[-2:]) >= rest.bit_count())
+                two_cover = any(rest & ~(rows[a] | rows[b]) == 0 for a, b in
+                                combinations_with_replacement(iter_bits(allowed), 2))
+                assert verdicts[k] or not two_cover
+                outcomes[bool(verdicts[k]), two_cover] += 1
+        assert outcomes[False, False] and outcomes[True, True] and outcomes[True, False]
+
+
 class TestRows:
     """``_cover_problem``'s rows against the translate-per-shift build kept
     in ``tests/oracles.py``: bit e of the row of g is core element lo + e of
-    g·A, and shifts whose translate misses the core are dropped."""
+    g·A, and shifts whose translate misses the core are dropped.  A Cayley
+    group's 0/1 matrix holds the same rows; a window's is None."""
 
     @staticmethod
     def expected(A, model, core, shifts):
@@ -356,9 +415,10 @@ class TestRows:
         for core in [(0, 64), (0, 1), (0, 10), (54, 64), (63, 64), (20, 30)]:
             for shifts in [range(-200, 200), range(-70, -1), range(3, 9), far,
                            [5, -5, 5, 0], []]:
-                got = _cover_problem(A, m, core, shifts)
-                assert got == self.expected(A, m, core, shifts), (members, core, shifts)
-            assert _cover_problem(A, m, core, None) == self.expected(A, m, core, None)
+                *got, grid = _cover_problem(A, m, core, shifts)
+                assert tuple(got) == self.expected(A, m, core, shifts), (members, core, shifts)
+                assert grid is None
+            assert _cover_problem(A, m, core, None)[:3] == self.expected(A, m, core, None)
 
     @pytest.mark.parametrize("model", [zn(1), zn(12), zn(96), *NON_ABELIAN],
                              ids=["z1", "z12", "z96", "s3", "s4"])
@@ -368,12 +428,15 @@ class TestRows:
         sets = [0, (1 << n) - 1, 1, 1 << (n - 1)] + [rng.getrandbits(n) for _ in range(5)]
         for bits in sets:
             A = DenseSet(model, bits)
-            assert _cover_problem(A, model, None, None) == self.expected(A, model, None, None)
+            *got, grid = _cover_problem(A, model, None, None)
+            assert tuple(got) == self.expected(A, model, None, None)
+            assert grid.shape == (len(got[2]), n)
+            assert [from_mask(r) for r in grid] == got[2]
 
     def test_non_abelian_rows_are_left_translates(self):
         m = symmetric_group(4)
         A = DenseSet.from_members(m, [0, 1, 5, 9])
-        _, order, rows = _cover_problem(A, m, None, None)
+        _, order, rows, _ = _cover_problem(A, m, None, None)
         right = [DenseSet.from_members(m, [m.op(a, g) for a in A.members()]).bits
                  for g in order]
         assert rows != right

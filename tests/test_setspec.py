@@ -17,6 +17,7 @@ from sumcore import (
     ParseError,
     PowersOf2,
     SpecOutOfRange,
+    SumcoreError,
     Threshold,
     Translate,
     Union,
@@ -229,6 +230,31 @@ class TestFileLeaf:
             return DenseSet.from_members(model, [x for x in members if x < n])
 
         assert _outcome(generate_set, model, FileSet(str(path))) == _outcome(listed)
+
+    @pytest.mark.parametrize("raw, members", [
+        (b"RLE1:1000000000000:0,1000000000000", range(64)),
+        (b"RLE1:1000000000000:60,1000000000,10,5", range(60, 64)),
+        (b"RLE1:1000000000000:70,999999999930", []),
+        # Python-int runs (tokens past 18 digits)
+        (b"RLE1:" + b"9" * 30 + b":2,3," + b"9" * 25 + b",10", [2, 3, 4]),
+        (b"RLE1:" + b"9" * 30 + b":0," + b"9" * 30, range(64)),
+    ])
+    def test_runs_are_cut_at_the_carrier(self, tmp_path, raw, members):
+        # a run of 10^12 members sets 64 bits without expanding the run
+        path = tmp_path / "a.rle"
+        path.write_bytes(raw)
+        assert generate_set(zw(64, 32), FileSet(str(path))).members() == list(members)
+
+    @pytest.mark.parametrize("raw, message", [
+        (b"RLE1:10:0,1000000000000", "RLE1 runs overflow the declared size"),
+        (b"RLE1:1000000000000:0,1000000000000,5,-1", "negative run length"),
+    ])
+    def test_cut_runs_keep_their_checks(self, tmp_path, raw, message):
+        # every check reads the full runs, before they are cut at n
+        path = tmp_path / "a.rle"
+        path.write_bytes(raw)
+        with pytest.raises(SumcoreError, match=message):
+            generate_set(zw(64, 32), FileSet(str(path)))
 
     @pytest.mark.parametrize("raw, exact", [
         (b"1\n5\n", False), (b"RLE1:10:2,3\n", False), (b"+5\n", True), (b"x", True)])

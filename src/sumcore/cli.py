@@ -75,9 +75,7 @@ def parse_pair(text):
 
 
 def to_jsonable(obj):
-    if obj is None or isinstance(obj, (bool, int, str)):
-        return obj
-    if isinstance(obj, float):
+    if obj is None or isinstance(obj, (bool, int, float, str)):
         return obj
     if isinstance(obj, Fraction):
         return f"{obj.numerator}/{obj.denominator}"

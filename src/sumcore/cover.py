@@ -31,7 +31,7 @@ from functools import reduce
 import numpy as np
 
 from .errors import BadCore, ModelMismatch
-from .model import CayleyGroup, DenseSet, ZWindow, ints, iter_bits, translate
+from .model import CayleyGroup, DenseSet, ZWindow, ints, iter_bits, translate, unpack_bits
 from .search import preorder
 
 
@@ -207,8 +207,7 @@ def _pair_bound(R, uncovered, options, allowed):
 
 def _indices(bits):
     """The indices of the set bits of ``bits`` as an increasing array."""
-    raw = bits.to_bytes((bits.bit_length() + 7) // 8, "little")
-    return np.flatnonzero(np.unpackbits(np.frombuffer(raw, np.uint8), bitorder="little"))
+    return np.flatnonzero(unpack_bits(bits, bits.bit_length()))
 
 
 def _exists_cover(rows, masks, grid, uncovered, allowed, size_limit):

@@ -33,7 +33,6 @@ big-int AND of each row's bitset with the c's the row must hold.  Cayley
 integer array.
 """
 
-import io
 import operator
 from dataclasses import dataclass
 from functools import cache, cached_property, partial
@@ -69,6 +68,13 @@ def from_mask(mask):
     """The big-int bitset of a bool array: bit i is set iff ``mask[i]``."""
     raw = np.packbits(mask, bitorder="little").tobytes()
     return int.from_bytes(raw, "little")
+
+
+def unpack_bits(bits, n):
+    """The bool array of bits 0..n-1 of the big-int bitset ``bits``: the
+    inverse of ``from_mask``."""
+    raw = bits.to_bytes((n + 7) // 8, "little")
+    return np.unpackbits(np.frombuffer(raw, np.uint8), count=n, bitorder="little").view(bool)
 
 
 def ints(values):
@@ -259,11 +265,7 @@ class DenseSet:
     def to_numpy(self):
         """Membership as a bool array (cached)."""
         if self._np is None:
-            n = self.model.carrier_size
-            nbytes = (n + 7) // 8
-            raw = self.bits.to_bytes(nbytes, "little")
-            arr = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), bitorder="little")
-            self._np = arr[:n].astype(bool)
+            self._np = unpack_bits(self.bits, self.model.carrier_size)
         return self._np
 
     def prefix_counts(self):
@@ -557,27 +559,27 @@ def _window_classes(mem, L):
 
 # --- set files -------------------------------------------------------------
 #
-# Two on-disk formats:
-#   * plain: newline-separated non-negative decimal integers;
-#   * run-length: a single line "RLE1:<M>:<runs>" where <runs> is a
-#     comma-separated alternation gap,run,gap,run,... of lengths summing
-#     to M (a leading gap of 0 is allowed; trailing gap may be omitted).
+# Two on-disk formats, and nothing else is read:
+#   * plain: ASCII digits separated by ASCII whitespace;
+#   * run-length: a single line "RLE1:<M>:<runs>" where M is ASCII digits
+#     and <runs> is digit runs joined by single commas, an alternation
+#     gap,run,gap,run,... of lengths summing to at most M (a leading gap
+#     of 0 is allowed; the trailing gap may be omitted).
 #
-# ``_read_set`` opens a file once and tokenizes it once: by one decimal
-# codec of whole-array passes when the text is ASCII digits and the
-# format's separators (ASCII whitespace; bare commas with no empty token)
-# in tokens of at most 18 digits, else by int() per token over the text
-# that open(path) reads.  One list pass and one RLE pass then check the
-# values and build the members, on int64 arrays, or on Python ints (dtype
-# object) when the tokens needed int() or the RLE sums could overflow
-# int64.  The writer takes the same two dtypes: int64 members in one pass
-# per digit column, anything else through str() per value.
+# ``_read_set`` opens a file once and tokenizes it once, by one decimal
+# codec of whole-array passes; any other byte is a SumcoreError naming it
+# and its offset.  Tokens of at most 18 digits come out as int64 (Horner
+# over the digit columns), longer ones through int() of their bytes
+# (dtype object), as do the RLE sums when they could overflow int64.  The
+# writer takes the same two dtypes: int64 members in one pass per digit
+# column, anything else through str() per value.
 
 _DIGITS_MAX = 18  # a token of at most 18 digits is below 10^18 < 2^63
 _POW10 = 10 ** np.arange(1, _DIGITS_MAX + 1, dtype=np.int64)
-# separator bytes: those bytes.split() splits on, and the comma
+# separator bytes: those bytes.split() splits on, the comma, and none
 _ASCII_SPACE = np.isin(np.arange(256), list(b" \t\n\r\x0b\x0c"))
 _COMMA = np.arange(256) == ord(",")
+_NO_SEPARATOR = np.zeros(256, dtype=bool)
 
 
 def _decimal_text(values, sep):
@@ -601,24 +603,30 @@ def _decimal_text(values, sep):
     return text[keep.take(ndigits, axis=0)].tobytes().decode("ascii")
 
 
-def _decimal_values(raw, separator):
-    """The runs of ASCII digits in the bytes ``raw``, as int64 values.
+def _decimal_values(raw, separator, offset, path):
+    """The runs of ASCII digits in the bytes ``raw``, as int64 values, or
+    as Python ints (dtype object) when a run has more than 18 digits.
 
-    None when a run has more than 18 digits or a byte is neither a digit nor
-    a separator (``separator`` is a bool table over the 256 bytes).
+    Every other byte must be a separator (``separator`` is a bool table
+    over the 256 bytes); the first one that is not raises SumcoreError
+    with its offset in the file, where ``raw`` starts at ``offset``.
     """
     chars = np.frombuffer(raw, dtype=np.uint8)
     digit = chars - ord("0")  # wraps to >= 10 for every other byte
     edges = np.zeros(chars.size + 2, dtype=bool)
     edges[1:-1] = digit < 10
-    if not (edges[1:-1] | separator.take(chars)).all():
-        return None
+    known = edges[1:-1] | separator.take(chars)
+    if not known.all():
+        k = int(known.argmin())  # the first stray byte
+        raise SumcoreError(f"byte {raw[k:k + 1]!r} at offset {offset + k} of {path} "
+                           "is outside the set-file format")
     bounds = np.flatnonzero(edges[1:] != edges[:-1])
     starts, ends = bounds[0::2], bounds[1::2]
     lengths = ends - starts
     w = int(lengths.max()) if lengths.size else 0
-    if w > _DIGITS_MAX:
-        return None
+    if w > _DIGITS_MAX:  # exact, one token at a time
+        return np.array([int(raw[i:j]) for i, j in zip(starts.tolist(), ends.tolist())],
+                        dtype=object)
     values = np.zeros(lengths.size, dtype=np.int64)
     for k in range(w, 0, -1):  # Horner over the right-aligned digit columns
         values = values * 10 + digit.take(ends - k, mode="clip") * (lengths >= k)
@@ -638,34 +646,19 @@ def _read_set(path, n=None):
     expanded past n; a list file's members are all returned."""
     with open(path, "rb") as fh:
         raw = fh.read()
-    text, size, values = raw.strip(), None, None
+    text = raw.strip()
     if not text.startswith(b"RLE1:"):
-        values = _decimal_values(raw, _ASCII_SPACE)
-    else:
-        head, colon, body = text[5:].partition(b":")
-        if colon and head.isdigit():
-            size, values = int(head), _decimal_values(body, _COMMA)
-            # no empty token: one token more than commas
-            if body and values is not None and values.size != body.count(b",") + 1:
-                values = None
-    if values is None:  # open(path)'s text: same decoding and newlines
-        text = io.TextIOWrapper(io.BytesIO(raw)).read().strip()
-        tokens = text.split()
-        if text.startswith("RLE1:"):
-            parts = text.split(":", 2)
-            if len(parts) != 3:
-                raise SumcoreError(f"malformed RLE1 header in {path}")
-            size = int(parts[1])
-            if size < 0:
-                raise SumcoreError("negative RLE1 size")
-            tokens = parts[2].split(",") if parts[2] else []
-        values = np.array([*map(int, tokens)], dtype=object)
-    if size is None:
-        if values.size and values.min() < 0:
-            raise SumcoreError("set files hold non-negative integers")
-        return _sorted_unique(values), None
-    if values.size and values.min() < 0:
-        raise SumcoreError("negative run length")
+        return _sorted_unique(_decimal_values(raw, _ASCII_SPACE, 0, path)), None
+    head, colon, body = text[5:].partition(b":")
+    start = raw.find(b"RLE1:") + 5  # the header's offset in the file
+    if not (colon and head):
+        raise SumcoreError(f"malformed RLE1 header in {path}")
+    (size,) = _decimal_values(head, _NO_SEPARATOR, start, path).tolist()
+    start += len(head) + 1
+    values = _decimal_values(body, _COMMA, start, path)
+    empty = (b"," + body + b",").find(b",,")  # a comma next to a comma or an end
+    if body and empty >= 0:
+        raise SumcoreError(f"empty run length at offset {start + empty} of {path}")
     if values.size and int(values.max()) * values.size >= 2**63:
         values = values.astype(object)  # the sums could overflow int64
     ends = np.cumsum(values)

@@ -231,8 +231,8 @@ _NAMES = {cls: name for name, (cls, *_) in GRAMMAR.items()}
 
 _WS = re.compile(r"\s*")
 _NAME = re.compile(r"\w+")
-_INT = re.compile(r"[+-]?\d+")
-_DIGITS = re.compile(r"\d+")
+_INT = re.compile(r"[+-]?[0-9]+")
+_DIGITS = re.compile(r"[0-9]+")
 _BARE_PATH = re.compile(r"""[^\s(),"']+""")
 _QUOTED_PATH = re.compile(r"""(["'])(.*?)\1""", re.DOTALL)
 

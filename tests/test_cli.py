@@ -206,6 +206,16 @@ class TestSubcommands:
         assert out == out_path.read_text()
         assert read_set_file(out_path)[0] == [1, 2, 4, 8, 16, 32, 60, 61, 62, 63]
 
+    def test_set_file_token_past_int_string_limit(self, capsys, tmp_path):
+        # ASCII digits, so in the format, but too long for int(): an error
+        path = tmp_path / "a.set"
+        path.write_bytes(b"7" * 5000 + b"\n")
+        code = main(["density", "--model", "zwindow:64:32", "--set", f"file({path})"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert json.loads(captured.out)["error"]["type"] == "ValueError"
+        assert captured.err == ""
+
     def test_deep_witness_found(self, capsys):
         # k = 1500 tree levels: deeper than the interpreter's recursion limit
         code, out = run_cli(capsys, "witness", "--model", "zwindow:4096:2048",

@@ -1,4 +1,5 @@
 import random
+import re
 
 import numpy as np
 import pytest
@@ -395,7 +396,7 @@ class TestSetFiles:
     def test_negative_rle_size_rejected(self, tmp_path, text):
         path = tmp_path / "a.set"
         path.write_text(text)
-        with pytest.raises(SumcoreError, match="negative RLE1 size"):
+        with pytest.raises(SumcoreError, match="byte b'-' at offset 5 "):
             read_set_file(path)
 
 
@@ -405,6 +406,44 @@ def _outcome(fn, *args, **kw):
         return fn(*args, **kw)
     except Exception as exc:  # compared by type against the oracle
         return type(exc)
+
+
+# Files in the set-file format: the reader answers as the per-token int()
+# reader did, errors included (an overflowing RLE, a token past the
+# interpreter's int-string limit).
+_IN_FORMAT = [
+    b"", b" \n\t ", b"5", b"1\t2\t\t3\n", b"1\r\n2\r\n3\r\n", b"1\x0b2\x0c3\r4",
+    b"\n\n5\n\n\n7\n\n", b"007\n7\n0\n00\n", b"1" + b"0" * 29 + b"\n2\n", b"9" * 18 + b"\n",
+    b"1" + b"0" * 18 + b"\n", b"0" * 25 + b"7\n", pytest.param(b"7" * 5000 + b"\n", id="7x5000"),
+    b"RLE1:10:2,3\n", b"  RLE1:10:2,3,5 \n\n", b"RLE1:5:3,4\n", b"RLE1:5:2,3\n", b"RLE1:5:\n",
+    b"RLE1:0:\n", b"RLE1:05:0,5\n", b"RLE1:10:0,0,0,4\n", b"RLE1:10:2,3\r\n",
+    b"RLE1:" + b"1" * 19 + b":1,2\n", b"RLE1:" + b"9" * 18 + b":" + b"1" * 19 + b",1\n",
+    b"RLE1:5:" + b",".join([b"9" * 18] * 10) + b"\n",
+    b"RLE1:" + b"9" * 18 + b":" + b",".join([b"0"] * 8 + [b"9" * 17]) + b"\n",
+]
+
+# Files outside the format, each a SumcoreError: the offset of the first
+# stray byte, or the message
+_REFUSED = {
+    b"+5\n3\n": 0, b"1_0\n": 1, b"-3\n4\n": 0, b"-0\n": 0, "\u0661\u0662\n3\n".encode(): 0,
+    b"5\x1c6": 1, b"\xef\xbb\xbf5\n": 0, b"\xff\n": 0, b"1 2 x": 4, b"1.5\n": 1, b"0x10\n": 1,
+    b"RLE1:10:1, 2\n": 10, b"RLE1:10:1 ,2\n": 9, b"RLE1:10:2,-1,3\n": 10, b"RLE1: 10:2,3\n": 5,
+    b"RLE1:+10:2,3\n": 5, b"RLE1:1_0:2,3\n": 6, b"RLE1:10:2,3:4\n": 11, b"RLE1:10:2,\r3\n": 10,
+    b"RLE1:10:2,3\x1c": 11, b"\x1cRLE1:10:2,3": 0, "RLE1:10:\u0661,2\n".encode(): 8,
+    b"rle1:10:2,3\n": 0, b"5\nRLE1:10:2,3\n": 2,
+    b"RLE1:10:1,,2\n": "empty run length at offset 10 ",
+    b"RLE1:10:1,2,\n": "empty run length at offset 12 ",
+    b"RLE1:10:,1,2\n": "empty run length at offset 8 ", b"RLE1:10:,\n": "empty run length at offset 8 ",
+    b"RLE1:5": "malformed RLE1 header", b"RLE1:\n": "malformed RLE1 header",
+    b"RLE1::1\n": "malformed RLE1 header",
+}
+
+
+def _refusal(raw, expected):
+    """The message pattern of the SumcoreError ``_REFUSED`` expects."""
+    if isinstance(expected, str):
+        return expected
+    return re.escape(f"byte {raw[expected:expected + 1]!r} at offset {expected} of ")
 
 
 class TestSetFileCodecEqualsText:
@@ -461,28 +500,15 @@ class TestSetFileCodecEqualsText:
         assert set_file_text(members, size=size, fmt="rle") == \
             text_set_file_text(np.asarray(members).tolist(), size=size, fmt="rle")
 
-    @pytest.mark.parametrize("raw", [
-        b"", b" \n\t ", b"5", b"1\t2\t\t3\n", b"1\r\n2\r\n3\r\n", b"1\x0b2\x0c3\r4",
-        b"\n\n5\n\n\n7\n\n", b"007\n7\n0\n00\n", b"+5\n3\n", b"1_0\n", b"-3\n4\n", b"-0\n",
-        "\u0661\u0662\n3\n".encode(), b"1" + b"0" * 29 + b"\n2\n", b"9" * 18 + b"\n",
-        b"1" + b"0" * 18 + b"\n", b"0" * 25 + b"7\n", b"5\x1c6", b"\xef\xbb\xbf5\n", b"\xff\n",
-        b"1 2 x", b"1.5\n", b"0x10\n",
-        b"RLE1:10:2,3\n", b"  RLE1:10:2,3,5 \n\n", b"RLE1:10:1, 2\n", b"RLE1:10:1 ,2\n",
-        b"RLE1:10:1,,2\n", b"RLE1:10:1,2,\n", b"RLE1:10:,1,2\n", b"RLE1:10:,\n",
-        b"RLE1:10:2,-1,3\n", b"RLE1:5:3,4\n", b"RLE1:5:2,3\n", b"RLE1:5:\n", b"RLE1:0:\n",
-        b"RLE1:5", b"RLE1:\n", b"RLE1::1\n", b"RLE1:05:0,5\n", b"RLE1: 10:2,3\n",
-        b"RLE1:+10:2,3\n", b"RLE1:1_0:2,3\n", b"RLE1:10:2,3:4\n", b"RLE1:10:0,0,0,4\n",
-        b"RLE1:10:2,3\r\n", b"RLE1:10:2,\r3\n", b"RLE1:10:2,3\x1c", b"\x1cRLE1:10:2,3",
-        b"RLE1:" + b"1" * 19 + b":1,2\n", b"RLE1:" + b"9" * 18 + b":" + b"1" * 19 + b",1\n",
-        b"RLE1:5:" + b",".join([b"9" * 18] * 10) + b"\n",
-        b"RLE1:" + b"9" * 18 + b":" + b",".join([b"0"] * 8 + [b"9" * 17]) + b"\n",
-        "RLE1:10:\u0661,2\n".encode(), b"rle1:10:2,3\n", b"5\nRLE1:10:2,3\n",
-    ])
+    @pytest.mark.parametrize("raw", _IN_FORMAT + list(_REFUSED))
     def test_hand_written_files(self, tmp_path, raw):
         path = tmp_path / "a.set"
         path.write_bytes(raw)
-        assert _outcome(read_set_file, path) == _outcome(text_read_set_file, path)
-
+        if raw in _REFUSED:
+            with pytest.raises(SumcoreError, match=_refusal(raw, _REFUSED[raw])):
+                read_set_file(path)
+        else:
+            assert _outcome(read_set_file, path) == _outcome(text_read_set_file, path)
 
 
 _SPACES = [" ", "\n", "\t", "\r", "\r\n", "\x0b", "\x0c"]
@@ -538,20 +564,37 @@ def _result(fn, *args):
         return type(exc), str(exc)
 
 
+# bytes.strip() and bytes.split() take these as whitespace
+_WHITE = rb"[ \t\n\r\x0b\x0c]*"
+_FORMAT = re.compile(rb"[0-9 \t\n\r\x0b\x0c]*|" + _WHITE + rb"RLE1:[0-9]+:([0-9]+(,[0-9]+)*)?" + _WHITE)
+
+
 class TestSetFileFuzz:
-    """read_set_file and the file(...) leaf against the two-path reader they
-    replaced (``tests/oracles.py``), on seeded random files."""
+    """read_set_file and the file(...) leaf on seeded random files: in the
+    format, against the two-path reader they replaced (``tests/oracles.py``);
+    outside it, a SumcoreError that names a stray byte where it lies."""
 
     def test_fuzzed_files(self, tmp_path):
         rng = random.Random(23)
         model = zw(64, 32)
         path = tmp_path / "a.set"
+        in_format = 0
         for _ in range(2000):
             raw = _fuzz_set_file(rng)
             path.write_bytes(raw)
-            assert _result(read_set_file, path) == _result(codec_read_set_file, path), raw
+            got = _result(read_set_file, path)
             leaf = _outcome(lambda: generate_set(model, FileSet(str(path))).bits)
-            assert leaf == _outcome(codec_file_bits, path, 64), raw
+            if _FORMAT.fullmatch(raw):
+                in_format += 1
+                assert got == _result(codec_read_set_file, path), raw
+                assert leaf == _outcome(codec_file_bits, path, 64), raw
+                continue
+            assert got[0] is SumcoreError and leaf is SumcoreError, raw
+            stray = re.match(r"byte (.+) at offset (\d+) of ", got[1])
+            if stray:
+                k = int(stray[2])
+                assert stray[1] == repr(raw[k:k + 1]), raw
+        assert 500 < in_format < 1500  # both kinds are exercised
 
 
 def test_iter_bits_helpers():

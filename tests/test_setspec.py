@@ -213,10 +213,10 @@ class TestFileLeaf:
     @pytest.mark.parametrize("raw", [
         b"", b"5", b"3\n1\n3\n70\n", b"0\n63\n64\n99\n", b"9" * 18 + b"\n1\n",
         b"RLE1:100:2,3,50,40\n", b"RLE1:10:0,10\n", b"RLE1:200:150,20\n",
-        # read by read_set_file's exact path
-        b"+5\n3\n", "\u0661\u0662\n3\n".encode(), b"1" + b"0" * 29 + b"\n2\n",
-        b"RLE1:10:1, 2\n",
-        # errors
+        # a token past 18 digits, read exactly
+        b"1" + b"0" * 29 + b"\n2\n",
+        # errors: bytes outside the format, a malformed header, an overflow
+        b"+5\n3\n", "\u0661\u0662\n3\n".encode(), b"RLE1:10:1, 2\n",
         b"-3\n4\n", b"1 2 x", b"RLE1:5:3,4\n", b"RLE1:10:2,-1,3\n", b"RLE1:5",
     ])
     @pytest.mark.parametrize("n", [3, 64, 100])
@@ -247,27 +247,27 @@ class TestFileLeaf:
 
     @pytest.mark.parametrize("raw, message", [
         (b"RLE1:10:0,1000000000000", "RLE1 runs overflow the declared size"),
-        (b"RLE1:1000000000000:0,1000000000000,5,-1", "negative run length"),
+        (b"RLE1:1000000000000:0,1000000000000,5,-1", "byte b'-' at offset 37 "),
     ])
     def test_cut_runs_keep_their_checks(self, tmp_path, raw, message):
-        # every check reads the full runs, before they are cut at n
+        # every check reads the full file, before the runs are cut at n
         path = tmp_path / "a.rle"
         path.write_bytes(raw)
         with pytest.raises(SumcoreError, match=message):
             generate_set(zw(64, 32), FileSet(str(path)))
 
-    @pytest.mark.parametrize("raw, exact", [
+    @pytest.mark.parametrize("raw, refused", [
         (b"1\n5\n", False), (b"RLE1:10:2,3\n", False), (b"+5\n", True), (b"x", True)])
-    def test_codec_files_build_no_list(self, tmp_path, monkeypatch, raw, exact):
-        # no file goes through read_set_file's list, not even one whose
-        # tokens need int() (exact)
+    def test_codec_files_build_no_list(self, tmp_path, monkeypatch, raw, refused):
+        # no file goes through read_set_file's list, read or refused
         calls = []
         monkeypatch.setattr(setspec, "read_set_file",
                             lambda p: calls.append(p) or read_set_file(p))
         path = tmp_path / "a.set"
         path.write_bytes(raw)
-        _outcome(generate_set, zw(64, 32), FileSet(str(path)))
+        outcome = _outcome(generate_set, zw(64, 32), FileSet(str(path)))
         assert calls == []
+        assert outcome[0] is SumcoreError if refused else isinstance(outcome, DenseSet)
 
 
 class TestGeneratorEquivalence:
@@ -417,12 +417,13 @@ class TestParse:
                 == generate_set(m, BohrSet(1, 2, Fraction(1, 8))).members())
 
     def test_non_decimal_digit_is_parse_error(self):
-        # Unicode decimal digits are integers; '\u00b2' (superscript two) is
-        # a digit to str.isdigit but not to int()
-        assert parse_set_spec("explicit(1,\u0663)") == Explicit((1, 3))
-        with pytest.raises(ParseError) as exc:
-            parse_set_spec("threshold(\u00b2)")
-        assert exc.value.position == 10
+        # an integer is ASCII digits: not the Arabic-Indic three or four,
+        # nor '\u00b2' (superscript two), a digit to str.isdigit
+        for text, position in [("explicit(1,\u0663)", 11), ("bernoulli(1/\u0664,3)", 12),
+                               ("threshold(\u00b2)", 10)]:
+            with pytest.raises(ParseError) as exc:
+                parse_set_spec(text)
+            assert exc.value.position == position
 
     def test_integer_past_int_string_limit_is_parse_error(self):
         with pytest.raises(ParseError) as exc:

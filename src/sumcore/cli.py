@@ -41,12 +41,23 @@ from .model import CayleyGroup, build_model, cyclic_table, set_file_text
 from .setspec import generate_set, parse_set_spec
 
 
+_INT = re.compile(r"-?[0-9]+")
+
+
+def parse_int(text):
+    """An ASCII decimal integer, -?[0-9]+; anything else (``1_0``, ``+5``,
+    ``٢``, spaces) raises SumcoreError."""
+    if not _INT.fullmatch(text):
+        raise SumcoreError(f"{text!r} is not an ASCII decimal integer (-?[0-9]+)")
+    return int(text)
+
+
 def parse_model_arg(text):
     """zwindow:M:L | zmod:n | cayley:<path to JSON table>, with M, L and n
-    ASCII decimal integers (-?[0-9]+)."""
+    ASCII decimal integers (``parse_int``)."""
     kind, colon, rest = text.partition(":")
     fields = rest.split(":")
-    if all(re.fullmatch(r"-?[0-9]+", f) for f in fields):
+    if all(_INT.fullmatch(f) for f in fields):
         sizes = [int(f) for f in fields]
         if kind == "zwindow" and len(sizes) == 2:
             return build_model({"kind": "zwindow", "M": sizes[0], "L": sizes[1]})
@@ -66,12 +77,12 @@ def parse_model_arg(text):
 
 def _int_list(text):
     """'a,b,...' as a list of ints."""
-    return [int(x) for x in text.split(",")]
+    return [parse_int(x) for x in text.split(",")]
 
 
 def parse_pair(text):
     a, b = text.split(",")
-    return int(a), int(b)
+    return parse_int(a), parse_int(b)
 
 
 def to_jsonable(obj):
@@ -234,7 +245,7 @@ def make_parser():
         p = sub.add_parser(name, parents=[instance], help=help, allow_abbrev=False)
         p.set_defaults(func=func)
         if budget:
-            p.add_argument("--budget", type=int, default=None, help="search node limit")
+            p.add_argument("--budget", type=parse_int, default=None, help="search node limit")
         if csv_rows:
             p.add_argument("--out", choices=["json", "csv"], default="json")
         return p
@@ -244,7 +255,7 @@ def make_parser():
 
     p = command("density", cmd_density, "best window density (exact rational)",
                 csv_rows=True)
-    p.add_argument("--n", type=int, default=None)
+    p.add_argument("--n", type=parse_int, default=None)
     p.add_argument("--schedule", type=_int_list, default=None,
                    help="comma-separated window lengths")
 
@@ -252,22 +263,22 @@ def make_parser():
     p.add_argument("--interval", type=parse_pair, default=None,
                    help="a,b (default: whole carrier)")
     p.add_argument("--alpha", type=Fraction, required=True)
-    p.add_argument("--N", type=int, required=True)
+    p.add_argument("--N", type=parse_int, required=True)
 
     p = command("ladder", cmd_ladder, "longest order-property ladder", budget=True)
-    p.add_argument("--k-max", type=int, default=8)
+    p.add_argument("--k-max", type=parse_int, default=8)
 
     p = command("witness", cmd_witness, "square witness search", budget=True)
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=parse_int, required=True)
     p.add_argument("--mode", choices=["exact", "heuristic"], default="exact")
 
     p = command("triangular", cmd_triangular, "one-sided (triangular) witness search",
                 budget=True)
-    p.add_argument("--m", type=int, required=True)
+    p.add_argument("--m", type=parse_int, required=True)
     p.add_argument("--scorer",
                    choices=["exact", "pool_size", "density_weighted", "random"],
                    default="exact")
-    p.add_argument("--seed", type=int, default=0, help="drives the random scorer")
+    p.add_argument("--seed", type=parse_int, default=0, help="drives the random scorer")
 
     p = command("upgrade", cmd_upgrade, "triangular-to-square Ramsey upgrade")
     p.add_argument("--b", type=_int_list, required=True, help="comma-separated b sequence")
@@ -276,19 +287,19 @@ def make_parser():
     p = command("defwitness", cmd_defwitness, "family-restricted witness search",
                 budget=True)
     p.add_argument("--family", choices=["intervals", "aps"], required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--step-max", type=int, default=None)
+    p.add_argument("--n", type=parse_int, required=True)
+    p.add_argument("--step-max", type=parse_int, default=None)
 
     p = command("growth", cmd_growth, "witness growth curve over k", budget=True,
                 csv_rows=True)
-    p.add_argument("--k-max", type=int, required=True)
+    p.add_argument("--k-max", type=parse_int, required=True)
     p.add_argument("--mode", choices=["exact", "heuristic"], default="exact")
 
     p = command("syndetic", cmd_syndetic, "minimal translate cover")
     p.add_argument("--core", type=parse_pair, default=None, help="a,b core region (ZWindow)")
     p.add_argument("--shifts", type=parse_pair, default=None,
                    help="a,b shift range (ZWindow)")
-    p.add_argument("--t-max", type=int, default=16)
+    p.add_argument("--t-max", type=parse_int, default=16)
     p.add_argument("--mode", choices=["exact", "greedy"], default="exact")
 
     return ap
@@ -331,12 +342,13 @@ def _report_error(exc):
 
 def main(argv=None):
     parser = make_parser()
-    args = parser.parse_args(argv)
-    if args.command == "defwitness" and args.family == "intervals" \
-            and args.step_max is not None:
-        # intervals have step 1: the family never reads --step-max
-        parser.error("argument --step-max: not allowed with --family intervals")
     try:
+        # an integer flag that is not ASCII digits raises SumcoreError here
+        args = parser.parse_args(argv)
+        if args.command == "defwitness" and args.family == "intervals" \
+                and args.step_max is not None:
+            # intervals have step 1: the family never reads --step-max
+            parser.error("argument --step-max: not allowed with --family intervals")
         return _run(args)
     except (SumcoreError, ValueError, OSError) as exc:
         return _report_error(exc)

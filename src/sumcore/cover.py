@@ -16,11 +16,11 @@ optimum.  The same question fixes the lex-least optimal cover one
 translate at a time, allowing the candidate at position i only the shifts
 above i (``_lex_min_cover`` says why).  The search keeps each core
 element's bitmask of covering shifts, branches on the element with the
-fewest allowed, bans each option from its later siblings' subtrees, skips
-a child whose last two translates cannot cover what it leaves (the two
-largest gains fall short, checked for all siblings at once), and decides
-the last translate as one AND of masks.  The certificate names,
-for every core element, the translate covering it.
+fewest allowed, bans each option from its later siblings' subtrees,
+decides the last two translates of every child after the first at once
+(one batched test over the pairs of shifts), and decides the last
+translate as one AND of masks.  The certificate names, for every core
+element, the translate covering it.
 """
 
 import operator
@@ -181,28 +181,43 @@ def min_translate_cover(A: DenseSet, model, core=None, shifts=None,
                         optimal=True, method="exact")
 
 
-def _pair_bound(R, uncovered, options, allowed):
-    """For each option k, in increasing order: can two of the shifts in
-    ``allowed`` minus options 0..k cover ``uncovered`` minus row k?
+def _pair_covers(R, uncovered, options, allowed):
+    """For each option k, in increasing order: do one or two of the shifts
+    in ``allowed`` minus options 0..k cover ``uncovered`` minus row k?
 
-    R is the shifts × core 0/1 matrix.  Two shifts cover a set only if
-    the two largest gains |row ∩ set| among them sum to at least its size,
-    so a False verdict is a proof that no such pair exists; True proves
-    nothing.  One integer ``einsum`` over R's uncovered columns gives every
-    option's gains at once.
+    R is the shifts × core 0/1 matrix.  One ``einsum`` over R's
+    uncovered columns gives every option's gains |row ∩ rest| at once.  A
+    row with gain g can be in a covering pair only if g plus the option's
+    top gain reaches its need |rest|, and a pair only if its two gains
+    do; each pair a <= b of such rows (a = b is one shift alone) is then
+    checked column by column.  An option with nothing left is True.  Only
+    the pairs that pass the gains are listed, never all shifts × shifts ×
+    options.
     """
     opts, shifts = _indices(options), _indices(allowed)
-    held = R[:, _indices(uncovered)].astype(np.int32)
+    cols = R[:, _indices(uncovered)]
+    held = cols.astype(np.float32)           # exact: sums of 0/1 below 2^24
     left = 1 - held[opts]                    # option k's uncovered columns
     gains = np.einsum("je,ke->jk", held[shifts], left)
-    k = np.arange(len(opts))
     rank = np.full(len(R), len(opts))
-    rank[opts] = k
-    gains[k >= rank[shifts, None]] = 0       # option k bans options 0..k
-    first = gains.argmax(0)
-    best = gains[first, k]
-    gains[first, k] = 0
-    return best + gains.max(0) >= left.sum(1)
+    rank[opts] = np.arange(len(opts))
+    gains[np.arange(len(opts)) >= rank[shifts, None]] = 0  # k bans options 0..k
+    need = left.sum(1)
+    verdicts = need == 0
+    ks, js = np.nonzero(((gains > 0) & (gains + gains.max(0) >= need)).T)
+    if not ks.size:
+        return verdicts
+    # the pairs p <= q of positions in (ks, js) that hold one option:
+    # position p pairs with itself and every later candidate of its option
+    p = np.arange(len(ks))
+    reps = np.cumsum(np.bincount(ks, minlength=len(opts)))[ks] - p
+    firsts = np.repeat(p, reps)
+    seconds = np.arange(len(firsts)) - np.repeat(np.cumsum(reps) - reps - p, reps)
+    a, b, k = js[firsts], js[seconds], ks[firsts]
+    keep = gains[a, k] + gains[b, k] >= need[k]
+    a, b, k = shifts[a[keep]], shifts[b[keep]], k[keep]
+    verdicts[k[(cols[a] | cols[b] | cols[opts[k]]).all(1)]] = True
+    return verdicts
 
 
 def _indices(bits):
@@ -221,9 +236,10 @@ def _exists_cover(rows, masks, grid, uncovered, allowed, size_limit):
     one of them was searched by an earlier sibling.  A node is pruned when
     the counting bound over its allowed shifts exceeds its size limit.
     Once the first child of a three-translate node has failed,
-    ``_pair_bound`` skips every later child that two translates cannot
-    finish.  With one translate left, the answer is whether one allowed
-    shift lies in every uncovered element's mask.
+    ``_pair_covers`` answers for all its later children at once, so no
+    two-translate node below them is expanded.  With one translate left,
+    the answer is whether one allowed shift lies in every uncovered
+    element's mask.
     """
     def one_covers(uncovered, allowed):
         """Does one allowed shift hold every uncovered element?"""
@@ -257,15 +273,15 @@ def _exists_cover(rows, masks, grid, uncovered, allowed, size_limit):
         if size_limit > 2 and \
                 _bound([rows[i] for i in iter_bits(meeting)], uncovered) > size_limit:
             return
-        finishes = None
         for k, i in enumerate(iter_bits(options)):
             allowed ^= 1 << i
             rest = uncovered & ~rows[i]
             if size_limit > 2:
                 if k == 1 and size_limit == 3:  # the first child has failed
-                    finishes = _pair_bound(grid, uncovered, options, meeting)
-                if finishes is None or finishes[k]:
-                    yield rest, allowed, size_limit - 1
+                    if _pair_covers(grid, uncovered, options, meeting)[1:].any():
+                        yield 0, allowed, 0
+                    return
+                yield rest, allowed, size_limit - 1
             elif one_covers(rest, allowed):
                 yield 0, allowed, 0
 
@@ -287,21 +303,21 @@ def _lex_min_cover(rows, masks, grid, uncovered, t_star):
     i, and at that step h would have extended the chosen set too, so the
     scan would have picked h.  With two translates left after a pick,
     candidate i is a three-translate node's child that allows the shifts
-    above i, so once the first candidate has failed ``_pair_bound``
-    skips every later one that two translates cannot finish.
+    above i, so once the first candidate has failed, the answer is the
+    first later one that ``_pair_covers`` finishes, with no search.
     """
     chosen = []
     every = (1 << len(rows)) - 1
     start = 0
     while uncovered:
         left = t_star - len(chosen) - 1
-        finishes = None
         for i in range(start, len(rows)):
-            if i == start + 1 and left == 2:
+            if i == start + 1 and left == 2:  # the first candidate has failed
                 above = every >> start << start
-                finishes = _pair_bound(grid, uncovered, above, above)
-            if (finishes is None or finishes[i - start]) and _exists_cover(
-                    rows, masks, grid, uncovered & ~rows[i], every >> (i + 1) << (i + 1), left):
+                i += int(_pair_covers(grid, uncovered, above, above)[1:].argmax())
+                break
+            if _exists_cover(rows, masks, grid, uncovered & ~rows[i],
+                             every >> (i + 1) << (i + 1), left):
                 break
         chosen.append(i)
         uncovered &= ~rows[i]

@@ -625,12 +625,22 @@ def _decimal_values(raw, separator, offset, path):
     lengths = ends - starts
     w = int(lengths.max()) if lengths.size else 0
     if w > _DIGITS_MAX:  # exact, one token at a time
-        return np.array([int(raw[i:j]) for i, j in zip(starts.tolist(), ends.tolist())],
-                        dtype=object)
+        return np.array([_long_int(raw, i, j, offset, path)
+                         for i, j in zip(starts.tolist(), ends.tolist())], dtype=object)
     values = np.zeros(lengths.size, dtype=np.int64)
     for k in range(w, 0, -1):  # Horner over the right-aligned digit columns
         values = values * 10 + digit.take(ends - k, mode="clip") * (lengths >= k)
     return values
+
+
+def _long_int(raw, i, j, offset, path):
+    """The digits raw[i:j] as a Python int; a token past the interpreter's
+    int-string limit raises SumcoreError with its offset in the file."""
+    try:
+        return int(raw[i:j])
+    except ValueError:
+        raise SumcoreError(f"{j - i}-digit token at offset {offset + i} of {path} is "
+                           "past the integer string limit") from None
 
 
 def _sorted_unique(values):

@@ -208,13 +208,35 @@ class TestSubcommands:
 
     def test_set_file_token_past_int_string_limit(self, capsys, tmp_path):
         # ASCII digits, so in the format, but too long for int(): an error
+        # that names the file and the token's offset
         path = tmp_path / "a.set"
-        path.write_bytes(b"7" * 5000 + b"\n")
+        path.write_bytes(b"5\n" + b"7" * 5000 + b"\n")
         code = main(["density", "--model", "zwindow:64:32", "--set", f"file({path})"])
         captured = capsys.readouterr()
         assert code == 2
-        assert json.loads(captured.out)["error"]["type"] == "ValueError"
+        error = json.loads(captured.out)["error"]
+        assert error["type"] == "SumcoreError"
+        assert f"5000-digit token at offset 2 of {path}" in error["message"]
         assert captured.err == ""
+
+    @pytest.mark.parametrize("flags", [
+        ("witness", "--k", "\u0662"),               # Arabic-Indic two
+        ("syndetic", "--core", "1_0,2_0"),
+        ("syndetic", "--core", "10,20", "--shifts=-5,+5"),
+        ("density", "--schedule", "2,1\u0660"),
+        ("density", "--n", " 8"),
+        ("witness", "--k", "2", "--budget", "1e3"),
+        ("find-point", "--alpha", "1/2", "--N", "\uff18"),  # fullwidth eight
+    ], ids=["k", "core", "shifts", "schedule", "n", "budget", "N"])
+    def test_integer_flags_read_ascii_digits_only(self, capsys, flags):
+        # every integer flag reads -?[0-9]+, as the model argument does
+        command, *rest = flags
+        code, out = run_cli(capsys, command, "--model", "zwindow:100:50",
+                            "--set", "multiples(2)", *rest)
+        assert code == 2
+        error = json.loads(out)["error"]
+        assert error["type"] == "SumcoreError"
+        assert "is not an ASCII decimal integer" in error["message"]
 
     def test_deep_witness_found(self, capsys):
         # k = 1500 tree levels: deeper than the interpreter's recursion limit

@@ -25,7 +25,7 @@ from sumcore import (
 )
 
 from sumcore import cover as cover_mod
-from sumcore.cover import _cover_problem, _pair_bound
+from sumcore.cover import _cover_problem, _exists_cover, _pair_covers
 from sumcore.model import from_mask, iter_bits
 
 from . import oracles
@@ -275,7 +275,7 @@ class TestExactEqualsScan:
         return A, m, {"core": (lo, hi), "shifts": shifts, "t_max": rng.randint(0, 12)}
 
     def test_equals_scan_on_random_instances(self, monkeypatch):
-        verdicts = spy_pair_bound(monkeypatch)
+        verdicts = spy_pair_covers(monkeypatch)
         rng = random.Random(20261019)
         kinds = set()
         for _ in range(600):
@@ -289,7 +289,7 @@ class TestExactEqualsScan:
             else:
                 kinds.add("uncoverable element")
         assert len(kinds) == 3
-        # both callers ran the pair bound, and it skipped children in both
+        # both callers ran the pair test, and it rejected children in both
         for caller in ("children", "_lex_min_cover"):
             assert verdicts[caller, "calls"] > 0 and verdicts[caller, "skipped"] > 0, verdicts
 
@@ -341,8 +341,8 @@ class TestExactEqualsScan:
                 counting_lower_bound(A, m, (0, 64), same)
 
 
-def spy_pair_bound(monkeypatch):
-    """Count ``_pair_bound``'s calls and False verdicts by calling function:
+def spy_pair_covers(monkeypatch):
+    """Count ``_pair_covers``'s calls and False verdicts by calling function:
     ``children`` (a node of ``_exists_cover``) or ``_lex_min_cover``."""
     seen = Counter()
 
@@ -353,41 +353,97 @@ def spy_pair_bound(monkeypatch):
         seen[caller, "skipped"] += int((~verdicts).sum())
         return verdicts
 
-    real = cover_mod._pair_bound
-    monkeypatch.setattr(cover_mod, "_pair_bound", spy)
+    real = cover_mod._pair_covers
+    monkeypatch.setattr(cover_mod, "_pair_covers", spy)
     return seen
 
 
 class TestPairBound:
-    """``_pair_bound`` on seeded random 0/1 matrices: each verdict is the
-    top-two gain test, and a child it rejects has no cover by one or two
-    of its allowed shifts (brute force over pairs)."""
+    """``_pair_covers`` on seeded random 0/1 matrices, some with duplicate
+    rows: each verdict equals brute force over the pairs (a <= b) of the
+    child's allowed shifts, and a child with nothing left is True."""
 
     def test_rejected_children_have_no_two_cover(self):
         rng = random.Random(20261020)
         outcomes = Counter()
-        for _ in range(300):
+        for _ in range(400):
             n_shifts, width = rng.randint(2, 14), rng.randint(1, 12)
             p = rng.uniform(0.1, 0.6)
             grid = np.array([[rng.random() < p for _ in range(width)]
                              for _ in range(n_shifts)], dtype=rng.choice([bool, np.uint8]))
+            if rng.random() < 0.3:  # repeat rows, as a Cayley group's cosets do
+                grid = grid[[rng.randrange(n_shifts) for _ in range(n_shifts)]]
             rows = [from_mask(r) for r in grid]
             uncovered = rng.randint(1, (1 << width) - 1)
             allowed = rng.randint(1, (1 << n_shifts) - 1)
             options = allowed & rng.randint(1, (1 << n_shifts) - 1) or allowed
-            verdicts = _pair_bound(grid, uncovered, options, allowed)
+            verdicts = _pair_covers(grid, uncovered, options, allowed)
             opts = list(iter_bits(options))
-            assert verdicts.shape == (len(opts),)
+            assert verdicts.shape == (len(opts),) and verdicts.dtype == bool
             for k, o in enumerate(opts):
                 rest = uncovered & ~rows[o]
                 allowed &= ~(1 << o)  # child k bans options 0..k
+                two_cover = rest == 0 or any(
+                    rest & ~(rows[a] | rows[b]) == 0
+                    for a, b in combinations_with_replacement(iter_bits(allowed), 2))
+                assert verdicts[k] == two_cover, (grid, uncovered, options, k)
                 gains = sorted((rows[j] & rest).bit_count() for j in iter_bits(allowed))
-                assert verdicts[k] == (sum(gains[-2:]) >= rest.bit_count())
-                two_cover = any(rest & ~(rows[a] | rows[b]) == 0 for a, b in
-                                combinations_with_replacement(iter_bits(allowed), 2))
-                assert verdicts[k] or not two_cover
-                outcomes[bool(verdicts[k]), two_cover] += 1
-        assert outcomes[False, False] and outcomes[True, True] and outcomes[True, False]
+                top_two = sum(gains[-2:]) >= rest.bit_count()
+                outcomes[two_cover, top_two, rest == 0] += 1
+        # covered and not, with need 0 among the covered, and children that
+        # the top-two gain test let through but no pair covers
+        assert outcomes[True, True, True] and outcomes[True, True, False]
+        assert outcomes[False, False, False] and outcomes[False, True, False]
+
+
+class TestSearchPaths:
+    """Two paths of the exact search, pinned where they run: the pair test
+    answering in place of a search, and a node whose uncovered element
+    has no allowed shift left."""
+
+    def test_lex_pass_searches_no_pair_after_the_first_candidate(self, monkeypatch):
+        # with two translates left after a pick, only the first candidate
+        # is searched; the pair test answers for the rest of the step
+        m = zw(1000, 500)
+        A = generate_set(m, parse_set_spec("bernoulli(1/4,11)"))
+        events = []
+
+        def spy(name):
+            real = getattr(cover_mod, name)
+
+            def call(*args):
+                if sys._getframe(1).f_code.co_name == "_lex_min_cover":
+                    events.append((name, args[-1] if name == "_exists_cover" else None))
+                return real(*args)
+            monkeypatch.setattr(cover_mod, name, call)
+
+        spy("_exists_cover")
+        spy("_pair_covers")
+        cert = min_translate_cover(A, m, core=(400, 430), shifts=range(-60, 60))
+        assert cert.translates == (-59, 39, 47, 48) and cert.optimal
+        # one step has two translates left: its first candidate is searched
+        # at size limit 2 and fails, then one pair test picks the next
+        # translate; the later steps have one translate left or none
+        pairs = events.index(("_pair_covers", None))
+        assert events.count(("_pair_covers", None)) == 1
+        assert events.count(("_exists_cover", 2)) == 1
+        assert events[pairs - 1] == ("_exists_cover", 2)
+        assert {size for _, size in events[pairs + 1:]} == {1, 0}
+
+    def test_no_allowed_shift_ends_the_node(self, monkeypatch):
+        # element 1 lies only in row 1, which is not allowed: the node ends
+        # before its counting bound, at every size limit
+        bounds = []
+        real = cover_mod._bound
+        monkeypatch.setattr(cover_mod, "_bound", lambda *a: bounds.append(a) or real(*a))
+        rows = [0b01, 0b10, 0b01]
+        masks = [0b101, 0b010]
+        grid = np.array([[1, 0], [0, 1], [1, 0]], dtype=bool)
+        for size_limit in (2, 3, 5):
+            assert not _exists_cover(rows, masks, grid, 0b11, 0b101, size_limit)
+        assert bounds == []
+        assert _exists_cover(rows, masks, grid, 0b11, 0b111, 3)
+        assert bounds
 
 
 class TestRows:

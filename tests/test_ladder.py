@@ -107,6 +107,18 @@ class TestMaxLadder:
         assert res.lower_bound_only
         assert res.k <= 1
 
+    def test_budget_runs_out_between_c_candidates(self):
+        # the walk pairs b = 127, 63, 62 with c = 0, 1, 2 in 6 nodes; a
+        # smaller budget runs out on a c candidate (after b = 127 under one
+        # node) and keeps the longest ladder found so far
+        m = zw(256, 128)
+        A = generate_set(m, Threshold(64))
+        got = [max_ladder(A, m, 3, budget=budget) for budget in (1, 2, 4, 6)]
+        assert [(r.k, r.lower_bound_only, r.nodes) for r in got] == \
+            [(0, True, 1), (1, True, 2), (2, True, 4), (3, False, 6)]
+        assert got[2].certificate == LadderCertificate((127, 63), (0, 1))
+        assert got[3].certificate == LadderCertificate((127, 63, 62), (0, 1, 2))
+
     def test_negative_budget_is_malformed(self):
         m = zw(300, 150)
         A = generate_set(m, Multiples(3))

@@ -223,6 +223,23 @@ class TestAnchorSide:
         assert _anchor_square_exists(A, 2, Budget(65)) is None
         assert _anchor_square_exists(A, 2, Budget(0)) is None
 
+    def test_budget_runs_out_between_candidate_differences(self):
+        # a refutation of 106 nodes; under 3 or 50 nodes the walk stops
+        # inside a node's candidate loop, where the next d's charge does
+        # not fit, so fewer nodes are spent than granted
+        m = zw(128, 64)
+        A = DenseSet.from_members(m, [0, 1, 3, 18, 32, 33, 35, 40, 46, 53, 55, 71, 99,
+                                      104, 113])
+        bud = Budget(None)
+        assert _anchor_square_exists(A, 3, bud) is False
+        assert bud.spent == 106
+        for budget, spent in ((3, 2), (50, 46)):
+            bud = Budget(budget)
+            assert _anchor_square_exists(A, 3, bud) is None
+            assert (bud.spent, bud.exhausted) == (spent, True)
+            assert find_square_witness(A, m, 3, budget=budget) == NotFound(exhaustive=False)
+        assert find_square_witness(A, m, 3, budget=106) == NotFound(exhaustive=True)
+
     def test_pow2_refuted_at_2_20(self):
         m = zw(1 << 20, 1 << 19)
         A = generate_set(m, PowersOf2())

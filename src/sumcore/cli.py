@@ -38,7 +38,7 @@ from . import ladder as ladder_mod
 from . import witness as witness_mod
 from .errors import BadBounds, SumcoreError
 from .model import CayleyGroup, build_model, cyclic_table, set_file_text
-from .setspec import generate_set, parse_set_spec
+from .setspec import generate_set, parse_rational, parse_set_spec
 
 
 _INT = re.compile(r"-?[0-9]+")
@@ -262,7 +262,7 @@ def make_parser():
     p = command("find-point", cmd_find_point, "regular point or partition certificate")
     p.add_argument("--interval", type=parse_pair, default=None,
                    help="a,b (default: whole carrier)")
-    p.add_argument("--alpha", type=Fraction, required=True)
+    p.add_argument("--alpha", type=parse_rational, required=True)
     p.add_argument("--N", type=parse_int, required=True)
 
     p = command("ladder", cmd_ladder, "longest order-property ladder", budget=True)
@@ -343,7 +343,7 @@ def _report_error(exc):
 def main(argv=None):
     parser = make_parser()
     try:
-        # an integer flag that is not ASCII digits raises SumcoreError here
+        # a number flag that is not ASCII digits raises SumcoreError here
         args = parser.parse_args(argv)
         if args.command == "defwitness" and args.family == "intervals" \
                 and args.step_max is not None:

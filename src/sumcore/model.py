@@ -373,6 +373,9 @@ class Relation:
     ``row(g, side)`` is ``left(g)`` or ``right(g)`` over the operands as a
     bool array, and ``overlaps(opposite, side)`` the size of its
     intersection with a bool array ``opposite``, for every g in one pass.
+    Taking x out of ``opposite`` lowers every g's overlap by
+    ``row(x, other side)``, so a caller whose pool lost a few members
+    subtracts their rows instead of asking again.
 
     ``twins()`` labels the operands by their row and by their column of
     the relation, so that a search can keep one operand per class.
@@ -443,15 +446,20 @@ class Relation:
         return out
 
     @cached_property
+    def _bools(self):
+        """A's bool view, taken once: ZWindow rows are slices of it."""
+        return self._A.to_numpy()
+
+    @cached_property
     def _table_grid(self):
         """Cayley groups: the n × n bool grid of b·c ∈ A."""
-        return self._A.to_numpy()[self._A.model._table_array]
+        return self._bools[self._A.model._table_array]
 
     def row(self, g, side):
         """``left(g)`` (side ``"left"``) or ``right(g)`` (``"right"``) over
         the operands: a bool array of length ``bound``."""
         if isinstance(self._A.model, ZWindow):
-            return self._A.to_numpy()[g:g + self.bound]
+            return self._bools[g:g + self.bound]
         return self._table_grid[g] if side == "left" else self._table_grid[:, g]
 
     def overlaps(self, opposite, side):
@@ -462,8 +470,10 @@ class Relation:
         On a Cayley group it is the grid, or its transpose, times
         ``opposite`` as a 0/1 integer vector.  On a ZWindow both sides are
         the correlation s[g] = Σ_x opposite[x]·A[g + x] over x, g < L,
-        which reads A below 2L − 1.  With n = 2^bitlen(2L − 1) ≥ 2L − 1 no
-        sum wraps around, so s is the first L entries of
+        which reads A below 2L − 1.  When ``opposite`` holds every operand,
+        s[g] = |A ∩ [g, g + L)|, the difference of two prefix counts of A,
+        and no transform is taken.  Otherwise, with n = 2^bitlen(2L − 1)
+        ≥ 2L − 1 no sum wraps around, so s is the first L entries of
         irfft(rfft(A[:2L − 1], n) · conj(rfft(opposite, n)), n); A's
         transform is computed once per ``Relation``.
 
@@ -477,10 +487,15 @@ class Relation:
         before rounding was 0.0.
         """
         if isinstance(self._A.model, ZWindow):
+            L = self.bound
+            if opposite.all():
+                prefix = np.zeros(2 * L, dtype=np.int64)
+                np.cumsum(self._bools[:2 * L - 1], out=prefix[1:])
+                return prefix[L:] - prefix[:L]
             spectrum, n = self._spectrum
             # numpy loads numpy.fft on first use: imports stay as they were
             corr = np.fft.irfft(spectrum * np.fft.rfft(opposite, n).conj(), n)
-            return np.rint(corr[:self.bound]).astype(np.int64)
+            return np.rint(corr[:L]).astype(np.int64)
         grid = self._table_grid if side == "left" else self._table_grid.T
         return grid @ opposite.astype(np.int64)  # bool @ bool would be an OR
 
@@ -488,7 +503,7 @@ class Relation:
     def _spectrum(self):
         """ZWindows: the rfft of A below 2L − 1 at n = 2^bitlen(2L − 1), and n."""
         n = 1 << (2 * self.bound - 1).bit_length()
-        return np.fft.rfft(self._A.to_numpy()[:2 * self.bound - 1], n), n
+        return np.fft.rfft(self._bools[:2 * self.bound - 1], n), n
 
     def twins(self):
         """Row and column classes of the operands, as two int arrays of
@@ -502,7 +517,7 @@ class Relation:
         not commutative.
         """
         if isinstance(self._A.model, ZWindow):
-            rows = _window_classes(self._A.to_numpy(), self.bound)
+            rows = _window_classes(self._bools, self.bound)
             return rows, rows
         return _row_classes(self._table_grid), _row_classes(self._table_grid.T)
 

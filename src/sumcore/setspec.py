@@ -378,6 +378,16 @@ class _Parser:
         return cls(*args)
 
 
+def parse_rational(text: str):
+    """The DSL's rational literal (an integer, p/q or decimal in ASCII
+    digits) as a Fraction; text past it, or no literal, raises ParseError."""
+    p = _Parser(text)
+    value = p.rational()
+    if p.skip_ws() != len(text):
+        p.error(["end of input"])
+    return value
+
+
 def parse_set_spec(text: str):
     """Parse the DSL into a SetSpec tree; bad text raises ParseError."""
     p = _Parser(text)

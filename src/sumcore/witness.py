@@ -28,9 +28,11 @@ Searches and verifiers read b*c in A through one ``Relation``, built from
 (A, model), so a set from another model raises ``ModelMismatch``; each
 verifier ends in its one pattern check, ``Relation.certifies``, which
 reads the grid row by row as bitsets; the Ramsey walk colours each pivot
-with one AND of bitsets.  The greedy back-and-forth scores every
-candidate of a pick in one pass, ``Relation.overlaps``.  The definable
-search ANDs slices of A's bool view, one pass per step pair.
+with one AND of bitsets.  The greedy back-and-forth keeps the score of
+every candidate: a pick subtracts the rows of the few operands that left
+the opposite pool, or takes all scores afresh in one pass,
+``Relation.overlaps``, when many left.  The definable search ANDs slices
+of A's bool view, one pass per step pair.
 """
 
 from bisect import bisect_left, bisect_right
@@ -424,10 +426,15 @@ def greedy_back_and_forth(A: DenseSet, model, k: int, scorer="pool_size", seed=0
     witness exists.  The picks do not depend on k, so a run for k starts
     with the picks of every shorter run.
 
-    Pools are bool arrays over the operands.  A scored pick takes the
-    score of every operand at once from ``Relation.overlaps`` (one
-    correlation on a ZWindow, one matrix-vector product on a Cayley
-    group) and the first best member of the pool.
+    Pools are bool arrays over the operands, and a scored pick takes the
+    first best member of the pool.  Each side keeps the scores of every
+    operand and the opposite pool they count.  Pools only shrink, so when
+    at most ``_delta_rows(L)`` members have left that pool since, the
+    pick subtracts their rows (``Relation.row`` of the other side) from
+    the scores; otherwise it takes them afresh from ``Relation.overlaps``
+    (one correlation on a ZWindow, or window counts while the pool holds
+    every operand; one matrix-vector product on a Cayley group).  Both
+    are exact integer counts, so the picks are those of a fresh count.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -436,12 +443,29 @@ def greedy_back_and_forth(A: DenseSet, model, k: int, scorer="pool_size", seed=0
     rel = Relation(A, model)
     rng = splitmix_stream(seed) if scorer == "random" else None
     counted = A.to_numpy()[:rel.bound] if scorer == "density_weighted" else True
+    cut = _delta_rows(rel.bound)
+    # per side: the scores (None until first asked) and the pool they count
+    held = dict.fromkeys(("left", "right"), (None, np.ones(rel.bound, dtype=bool) & counted))
 
     def pick(pool, opposite, side):
         idx = np.flatnonzero(pool)
         if rng is not None:
             return int(idx[next(rng) % idx.size])
-        scores = rel.overlaps(opposite & counted, side)
+        scores, then = held[side]
+        now = opposite & counted
+        gone = np.flatnonzero(then ^ now)  # pools only shrink: now ⊆ then
+        if gone.size > cut:
+            scores = rel.overlaps(now, side)
+        else:
+            if scores is None:
+                scores = rel.overlaps(then, side)
+            # at most 255 rows: their uint8 sum cannot wrap
+            drop = np.zeros(rel.bound, dtype=np.uint8)
+            other = "right" if side == "left" else "left"
+            for x in gone.tolist():
+                drop += rel.row(x, other).view(np.uint8)
+            scores -= drop
+        held[side] = scores, now
         # argmax keeps the first best: ties go to the smallest element
         return int(idx[scores[idx].argmax()])
 
@@ -463,6 +487,14 @@ def greedy_back_and_forth(A: DenseSet, model, k: int, scorer="pool_size", seed=0
         pool_c[c] = False
         pool_b &= rel.row(c, "right")
     return SquareWitness(tuple(bs), tuple(cs))
+
+
+def _delta_rows(L):
+    """The most leavers whose rows a greedy pick subtracts instead of taking
+    ``Relation.overlaps`` afresh, over L operands: 16 + L/32, near the
+    measured break-evens (README, performance notes), and at most 255, so
+    that the uint8 sum of the rows cannot wrap."""
+    return min(255, 16 + L // 32)
 
 
 # --- Ramsey upgrade -----------------------------------------------------------

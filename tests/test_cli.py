@@ -238,6 +238,24 @@ class TestSubcommands:
         assert error["type"] == "SumcoreError"
         assert "is not an ASCII decimal integer" in error["message"]
 
+    @pytest.mark.parametrize("alpha", ["\u0661/2", "1/\u0662", "\uff11/2", "1/0"],
+                             ids=["arabic-indic-p", "arabic-indic-q", "fullwidth-p", "zero-q"])
+    def test_alpha_reads_the_dsl_rational(self, capsys, alpha):
+        # --alpha is the DSL's rational literal: ASCII digits and q != 0
+        code, out = run_cli(capsys, "find-point", "--model", "zwindow:100:50",
+                            "--set", "pow2", "--alpha", alpha, "--N", "5")
+        assert code == 2
+        assert json.loads(out)["error"]["type"] == "ParseError"
+
+    @pytest.mark.parametrize("alpha", ["1/2", "0.5", "1"])
+    def test_alpha_literals(self, capsys, alpha):
+        code, out = run_cli(capsys, "find-point", "--model", "zwindow:100:50",
+                            "--set", "threshold(1)", "--alpha", alpha, "--N", "8")
+        assert code == 0
+        rep = json.loads(out)
+        assert rep["parameters"]["alpha"] == ("1/1" if alpha == "1" else "1/2")
+        assert rep["result"]["status"] == "good_point"
+
     def test_deep_witness_found(self, capsys):
         # k = 1500 tree levels: deeper than the interpreter's recursion limit
         code, out = run_cli(capsys, "witness", "--model", "zwindow:4096:2048",

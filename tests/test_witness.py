@@ -537,14 +537,62 @@ class TestGreedy:
 
     @pytest.mark.parametrize("model_text,spec", GREEDY_SCALE_CASES)
     def test_scale_matches_bitset_oracle(self, model_text, spec):
-        """Every k up to 6 on carriers up to 2^12, k = 6 above: the library
-        agrees with the popcount-per-element loop it replaced."""
+        """Every k up to 12 on the 2^12 Bohr set, zmod:96 and S5, up to 6
+        on the other carriers up to 2^12, k = 6 above: the library, whose
+        scores go by row deltas and fresh counts, agrees with the
+        popcount-per-element loop it replaced."""
         m = model_of(model_text)
         A = generate_set(m, parse_set_spec(spec))
-        ks = range(1, 7) if m.carrier_size <= 1 << 12 else (6,)
+        deep = model_text in ("zmod:96", "sym:5") \
+            or (model_text == "zwindow:4096" and spec.startswith("translate"))
+        ks = range(1, 13) if deep else range(1, 7) if m.carrier_size <= 1 << 12 else (6,)
         for scorer, k in itertools.product(("pool_size", "density_weighted", "random"), ks):
             got = greedy_back_and_forth(A, m, k, scorer=scorer, seed=k)
             assert got == bitset_greedy(A, m, k, scorer=scorer, seed=k), (scorer, k)
+
+    @pytest.mark.parametrize("scorer", ["pool_size", "density_weighted"])
+    def test_scores_take_both_updates(self, monkeypatch, scorer):
+        """On a Bohr set the opposite pool first loses hundreds of members,
+        then one or two per pick: the big loss takes a fresh ``overlaps``,
+        the small ones subtract rows, and the picks are the oracle's."""
+        m = zw(1 << 12, 1 << 11)
+        A = generate_set(m, parse_set_spec(f"translate({BOHR},1)"))
+        fresh, rows = [], []
+        overlaps, row = Relation.overlaps, Relation.row
+
+        def spy_overlaps(self, opposite, side):
+            fresh.append(int(opposite.sum()))
+            return overlaps(self, opposite, side)
+
+        def spy_row(self, g, side):
+            rows.append((g, side))
+            return row(self, g, side)
+
+        monkeypatch.setattr(Relation, "overlaps", spy_overlaps)
+        monkeypatch.setattr(Relation, "row", spy_row)
+        k = 12
+        got = greedy_back_and_forth(A, m, k, scorer=scorer)
+        assert isinstance(got, SquareWitness)
+        assert got == bitset_greedy(A, m, k, scorer=scorer)
+        # a first count per side, then fresh ones only past the cut
+        cut = witness._delta_rows(1 << 11)
+        assert 2 < len(fresh) < 2 * k
+        assert all(n < min(fresh[:2]) - cut for n in fresh[2:]), fresh
+        # 2k rows narrow the pools; every other row is a score update
+        assert len(rows) > 2 * k
+
+    @pytest.mark.parametrize("model_text,spec", [
+        ("zwindow:4096", f"translate({BOHR},3)"), ("zwindow:4096", "bernoulli(1/2,5)"),
+        ("zmod:96", "union(multiples(4),multiples(6))"), ("sym:5", "bernoulli(1/2,9)")])
+    def test_overlaps_of_every_operand_are_popcounts(self, model_text, spec):
+        # ZWindow: window counts with no transform; Cayley: the grid's row sums
+        m = model_of(model_text)
+        rel = Relation(generate_set(m, parse_set_spec(spec)), m)
+        every = np.ones(rel.bound, dtype=bool)
+        for side, quot in (("left", rel.left), ("right", rel.right)):
+            want = [(rel.domain & quot(g)).bit_count() for g in range(rel.bound)]
+            assert rel.overlaps(every, side).tolist() == want, side
+        assert "_spectrum" not in vars(rel)  # A's transform was never taken
 
     def test_overlaps_are_popcounts(self):
         # L = 2^17: the FFT correlation, rounded, against big-int popcounts

@@ -101,7 +101,7 @@ def to_jsonable(obj):
         for name in obj.__dataclass_fields__:
             out[name] = to_jsonable(getattr(obj, name))
         return out
-    return repr(obj)
+    raise TypeError(f"no JSON form for {type(obj).__name__} {obj!r}")
 
 
 def build_report(kind, params, result, certificate, verified, t0):
@@ -310,6 +310,21 @@ def make_parser():
 _NEGATIVE = {"not_found", "infeasible", "partition"}
 _NOT_PARAMETERS = {"command", "func", "out", "output"}
 
+# (subcommand, flag, why it is not read, whether it was given): usage errors
+_UNREAD = [
+    ("density", "--n", "not read with --schedule", lambda a: a.n is not None and a.schedule),
+    ("density", "--out", "csv needs --schedule", lambda a: a.out == "csv" and not a.schedule),
+    ("witness", "--budget", "not read with --mode heuristic",
+     lambda a: a.budget is not None and a.mode == "heuristic"),
+    ("growth", "--budget", "not read with --mode heuristic",
+     lambda a: a.budget is not None and a.mode == "heuristic"),
+    ("triangular", "--budget", "not read with a greedy --scorer",
+     lambda a: a.budget is not None and a.scorer != "exact"),
+    # intervals have step 1: the family never reads --step-max
+    ("defwitness", "--step-max", "not allowed with --family intervals",
+     lambda a: a.step_max is not None and a.family == "intervals"),
+]
+
 
 def _run(args):
     """Load the instance, run the subcommand, write its report; the exit code."""
@@ -345,10 +360,9 @@ def main(argv=None):
     try:
         # a number flag that is not ASCII digits raises SumcoreError here
         args = parser.parse_args(argv)
-        if args.command == "defwitness" and args.family == "intervals" \
-                and args.step_max is not None:
-            # intervals have step 1: the family never reads --step-max
-            parser.error("argument --step-max: not allowed with --family intervals")
+        for command, flag, why, given in _UNREAD:
+            if args.command == command and given(args):
+                parser.error(f"argument {flag}: {why}")
         return _run(args)
     except (SumcoreError, ValueError, OSError) as exc:
         return _report_error(exc)

@@ -56,10 +56,8 @@ class Infeasible:
 
 def _cover_problem(A, model, core, shifts):
     """Validated core, the sorted shifts whose translate meets it (no greedy
-    step or minimal cover uses another), their rows (bit e of rows[i] is
-    core element lo + e of the translate by order[i]) and the rows as a
-    shifts × core 0/1 matrix where the model already built one (a Cayley
-    group), else None."""
+    step or minimal cover uses another) and their rows: bit e of rows[i] is
+    core element lo + e of the translate by order[i]."""
     if A.model != model:
         raise ModelMismatch("set and model disagree")
     if isinstance(model, CayleyGroup):
@@ -94,13 +92,10 @@ def _cover_problem(A, model, core, shifts):
         cut = cut >> (lo - g_max) if lo >= g_max else cut << (g_max - lo)
         width = (1 << (hi - lo)) - 1
         rows = [(cut >> (g_max - g)) & width for g in order]
-        grid = None
     else:
         raise ModelMismatch(f"unsupported model {model!r}")
     kept = [i for i, r in enumerate(rows) if r]
-    if grid is not None and len(kept) < len(rows):
-        grid = grid[kept]  # a Cayley group's rows are all empty or none
-    return core, [order[i] for i in kept], [rows[i] for i in kept], grid
+    return core, [order[i] for i in kept], [rows[i] for i in kept]
 
 
 def _bound(rows, uncovered):
@@ -129,7 +124,7 @@ def min_translate_cover(A: DenseSet, model, core=None, shifts=None,
         raise ValueError(f"t_max must be >= 0, got {t_max}")
     if mode not in ("exact", "greedy"):
         raise ValueError(f"unknown mode {mode!r}")
-    core, order, rows, grid = _cover_problem(A, model, core, shifts)
+    core, order, rows = _cover_problem(A, model, core, shifts)
     lo, hi = core
     full = (1 << (hi - lo)) - 1
     counting_lb = _bound(rows, full)
@@ -160,11 +155,10 @@ def min_translate_cover(A: DenseSet, model, core=None, shifts=None,
     # reported Infeasible, so no t beyond either is asked about
     if counting_lb > t_max:
         return Infeasible(lower_bound=counting_lb, uncovered_element=None)
-    if grid is None:
-        nbytes = (hi - lo + 7) // 8
-        raw = b"".join(r.to_bytes(nbytes, "little") for r in rows)
-        grid = np.unpackbits(np.frombuffer(raw, np.uint8).reshape(len(rows), nbytes),
-                             axis=1, count=hi - lo, bitorder="little")
+    nbytes = (hi - lo + 7) // 8
+    raw = b"".join(r.to_bytes(nbytes, "little") for r in rows)
+    grid = np.unpackbits(np.frombuffer(raw, np.uint8).reshape(len(rows), nbytes),
+                         axis=1, count=hi - lo, bitorder="little")
     # masks[e]: the bitset of the shift indices whose row holds core offset e
     masks = [int.from_bytes(col.tobytes(), "little")
              for col in np.packbits(grid.T, axis=1, bitorder="little")]
@@ -365,7 +359,7 @@ def verify_cover(cert: CoverCertificate, A: DenseSet, model) -> bool:
 
 def counting_lower_bound(A: DenseSet, model, core, shifts=None) -> int:
     """ceil(|core| / max_g |gA ∩ core|), a lower bound on any cover size."""
-    (lo, hi), _, rows, _ = _cover_problem(A, model, core, shifts)
+    (lo, hi), _, rows = _cover_problem(A, model, core, shifts)
     lb = _bound(rows, (1 << (hi - lo)) - 1)
     if lb is None:
         raise BadCore("no translate meets the core")

@@ -11,7 +11,7 @@ while threshold-style sets carry ladders as long as the window allows.
 
 Search is one depth-first walk (``search.preorder``) over alternating
 b/c choices, one operand per twin class of the relation, with bitset
-candidate propagation, spending the shared node budget
+candidate propagation, charging one node of the shared budget
 (``search.Budget``) per candidate; it keeps the longest ladder seen.
 Depth is bounded by memory, not by the recursion limit.  Finding
 maximum ladders embeds half-graphs, which is hard in general, so
@@ -96,18 +96,14 @@ def max_ladder(A: DenseSet, model, k_max: int, budget=None) -> LadderResult:
         if 4 * pool_c.bit_count() < pool_b.bit_count():
             pool_b &= rel.meeting(pool_c)
         for b in iter_bits_desc(pool_b):
-            if not bud.spend():
-                return
+            yield None  # one node per b and per c tried
             pool_next = pool_c & left_q(b)
-            if not pool_next:
-                continue
             for c in iter_bits(pool_next):
-                if not bud.spend():
-                    return
+                yield None
                 yield bs + (b,), cs + (c,), pool_b, pool_next
 
     best = ((), ())
-    for bs, cs, _, _ in preorder(((), (), reps_b, reps_c), children):
+    for bs, cs, _, _ in preorder(((), (), reps_b, reps_c), children, bud):
         if len(bs) > len(best[0]):
             best = bs, cs
             if len(bs) == k_max:

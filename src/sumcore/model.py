@@ -446,20 +446,15 @@ class Relation:
         return out
 
     @cached_property
-    def _bools(self):
-        """A's bool view, taken once: ZWindow rows are slices of it."""
-        return self._A.to_numpy()
-
-    @cached_property
     def _table_grid(self):
         """Cayley groups: the n × n bool grid of b·c ∈ A."""
-        return self._bools[self._A.model._table_array]
+        return self._A.to_numpy()[self._A.model._table_array]
 
     def row(self, g, side):
         """``left(g)`` (side ``"left"``) or ``right(g)`` (``"right"``) over
         the operands: a bool array of length ``bound``."""
         if isinstance(self._A.model, ZWindow):
-            return self._bools[g:g + self.bound]
+            return self._A.to_numpy()[g:g + self.bound]
         return self._table_grid[g] if side == "left" else self._table_grid[:, g]
 
     def overlaps(self, opposite, side):
@@ -471,7 +466,7 @@ class Relation:
         ``opposite`` as a 0/1 integer vector.  On a ZWindow both sides are
         the correlation s[g] = Σ_x opposite[x]·A[g + x] over x, g < L,
         which reads A below 2L − 1.  When ``opposite`` holds every operand,
-        s[g] = |A ∩ [g, g + L)|, the difference of two prefix counts of A,
+        s[g] = |A ∩ [g, g + L)|, a difference of A's cached prefix counts,
         and no transform is taken.  Otherwise, with n = 2^bitlen(2L − 1)
         ≥ 2L − 1 no sum wraps around, so s is the first L entries of
         irfft(rfft(A[:2L − 1], n) · conj(rfft(opposite, n)), n); A's
@@ -489,9 +484,8 @@ class Relation:
         if isinstance(self._A.model, ZWindow):
             L = self.bound
             if opposite.all():
-                prefix = np.zeros(2 * L, dtype=np.int64)
-                np.cumsum(self._bools[:2 * L - 1], out=prefix[1:])
-                return prefix[L:] - prefix[:L]
+                p = self._A.prefix_counts()
+                return p[L:2 * L] - p[:L]
             spectrum, n = self._spectrum
             # numpy loads numpy.fft on first use: imports stay as they were
             corr = np.fft.irfft(spectrum * np.fft.rfft(opposite, n).conj(), n)
@@ -503,7 +497,7 @@ class Relation:
     def _spectrum(self):
         """ZWindows: the rfft of A below 2L − 1 at n = 2^bitlen(2L − 1), and n."""
         n = 1 << (2 * self.bound - 1).bit_length()
-        return np.fft.rfft(self._bools[:2 * self.bound - 1], n), n
+        return np.fft.rfft(self._A.to_numpy()[:2 * self.bound - 1], n), n
 
     def twins(self):
         """Row and column classes of the operands, as two int arrays of
@@ -517,7 +511,7 @@ class Relation:
         not commutative.
         """
         if isinstance(self._A.model, ZWindow):
-            rows = _window_classes(self._bools, self.bound)
+            rows = _window_classes(self._A.to_numpy(), self.bound)
             return rows, rows
         return _row_classes(self._table_grid), _row_classes(self._table_grid.T)
 

@@ -3,10 +3,10 @@
 An exact search is a tree given by ``children(node)``, a generator of the
 child nodes in the order they are tried; the search itself is a loop
 over ``preorder`` that stops at the first goal node, or keeps the best
-node seen.  Under a node budget, a generator spends one node per
-candidate it tries and returns once ``spend()`` fails, so when the
-budget runs out every suspended generator returns at its next try and
-the walk ends.
+node seen.  The walk does the spending: before each candidate it tries,
+a generator yields a charge (None for one node, an int n for n nodes);
+child nodes cost nothing.  The walk ends at the first charge ``Budget``
+refuses, and the search reads ``spent`` and ``exhausted`` after it.
 """
 
 
@@ -36,9 +36,10 @@ class Budget:
         return True
 
 
-def preorder(root, children):
+def preorder(root, children, budget=None):
     """Yield ``root`` and then every node below it, depth first, each node
-    before its children.
+    before its children, spending each charge ``children`` yields from
+    ``budget`` up to the first refused; with no budget none is spent.
 
     The stack holds one ``children(node)`` generator per open level, so
     depth is bounded by memory, not by the recursion limit.  A node is
@@ -49,6 +50,10 @@ def preorder(root, children):
     stack = [children(root)]
     while stack:
         for node in stack[-1]:
+            if node is None or node.__class__ is int:
+                if budget is None or budget.spend(1 if node is None else node):
+                    continue
+                return
             yield node
             stack.append(children(node))
             break

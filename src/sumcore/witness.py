@@ -16,8 +16,8 @@ Exact searches are canonical: the witness returned is lexicographically
 least (B extended before C), so outcomes are reproducible.  The square
 and triangular searches each give the children of a node (a tuple of
 chosen operands with its candidate pools) to ``search.preorder``, the one
-depth-first walk, and take its first complete node; both spend the one
-node budget, ``search.Budget``.  On sparse ZWindow sets an anchor-side
+depth-first walk, and take its first complete node; the walk charges the
+one node budget, ``search.Budget``.  On sparse ZWindow sets an anchor-side
 walk over the members of A decides first whether any witness exists: over
 the differences of A for squares (``_anchor_square_exists``), over the
 shifts of A that hold the sums of row 1 for triangular witnesses
@@ -179,18 +179,17 @@ def _anchor_square_exists(A: DenseSet, k: int, bud: Budget):
         ds, counts = np.unique(diffs[(diffs > last) & (diffs < L)], return_counts=True)
         tried = 0
         for i in np.flatnonzero(counts >= k).tolist():
-            if not bud.spend(i + 1 - tried):
-                return
+            yield i + 1 - tried
             tried = i + 1
             d = int(ds[i])
             child = anchors[np.isin(anchors + d, members, assume_unique=True)]
             if fits(child):
                 yield size + 1, d, child
-        bud.spend(len(ds) - tried)
+        yield len(ds) - tried
 
     if not fits(members):
         return False
-    for size, _, _ in preorder((1, 0, members), children):
+    for size, _, _ in preorder((1, 0, members), children, bud):
         if size == k:
             return True
     return None if bud.exhausted else False
@@ -232,8 +231,7 @@ def _anchor_triangular_exists(A: DenseSet, m: int, bud: Budget):
         for v in members[bisect_left(members, lo):bisect_right(members, hi + L - 1)]:
             if v in vs:
                 continue
-            if not bud.spend():
-                return
+            yield None
             nlo, nhi = max(lo, v - L + 1), min(hi, v)
             # u in W_t for a t of the range: [-nhi, L - 1 - nlo] bounds each pool
             if pools:
@@ -243,7 +241,7 @@ def _anchor_triangular_exists(A: DenseSet, m: int, bud: Budget):
             if len(pool) >= level and hall(pools + (pool,), nlo, nhi):
                 yield vs + (v,), pools + (pool,), nlo, nhi
 
-    for vs, _, _, _ in preorder(((), (), 0, L - 1), children):
+    for vs, _, _, _ in preorder(((), (), 0, L - 1), children, bud):
         if len(vs) == m:
             return True
     return None if bud.exhausted else False
@@ -301,13 +299,12 @@ def find_square_witness(A: DenseSet, model, k: int, mode="exact", budget=None):
             cand = (domain >> (bs[-1] + 1)) << (bs[-1] + 1)
             cand &= rel.meeting(pool)
         for b in iter_bits(cand):
-            if not bud.spend():
-                return
+            yield None
             np_ = pool & rel.left(b)
             if np_.bit_count() >= k:
                 yield bs + (b,), np_
 
-    for bs, pool in preorder(((), domain), children):
+    for bs, pool in preorder(((), domain), children, bud):
         if len(bs) == k:
             return SquareWitness(bs, tuple(islice(iter_bits(pool), k)))
     return NotFound(exhaustive=not bud.exhausted)
@@ -368,13 +365,12 @@ def find_triangular_witness(A: DenseSet, model, m: int, scorer=None, budget=None
         if i > 0:
             cand = domain & ~used & rel.meeting(prev)
         for b in iter_bits(cand):
-            if not bud.spend():
-                return
+            yield None
             np_ = prev & rel.left(b)
             if np_.bit_count() >= m - i:
                 yield bs + (b,), pools + (np_,), used | (1 << b)
 
-    for bs, pools, _ in preorder(((), (), 0), children):
+    for bs, pools, _ in preorder(((), (), 0), children, bud):
         if len(bs) == m:
             break
     else:

@@ -41,7 +41,17 @@ from sumcore.errors import (
     NotALatinSquare,
     SumcoreError,
 )
-from sumcore.model import CayleyGroup, Relation, bits_of, ints, iter_bits, translate
+from sumcore.ladder import LadderResult, _first_of_each
+from sumcore.model import (
+    CayleyGroup,
+    Relation,
+    bits_of,
+    from_mask,
+    ints,
+    iter_bits,
+    iter_bits_desc,
+    translate,
+)
 from sumcore.search import Budget, preorder
 from sumcore.setspec import splitmix_stream
 
@@ -1056,3 +1066,180 @@ def random_latin_square(n, rng, loop=False):
 
     fill(0)
     return CayleyGroup(tuple(map(tuple, table)))
+
+
+# --- the walks as they spent their own budget -----------------------------------
+#
+# Before ``search.preorder`` took the charges, each ``children`` generator
+# spent the node budget itself and returned when a spend failed.  These are
+# those bodies, kept verbatim under new names, so that tests can pin the
+# walks' answers, spent counts and exhaustion at every budget.  The anchor
+# square walk's closing bulk spend is unchecked here: after a refused
+# charge it carried on with smaller ones.
+
+
+def self_spending_max_ladder(A: DenseSet, model, k_max: int, budget=None) -> LadderResult:
+    """Longest ladder of length <= k_max, with certificate.
+
+    The walk tries one operand per twin class (``Relation.twins``): the
+    largest b of each row class and the smallest c of each column class.
+    Twins never share a ladder (rows i < j differ at column c_i, columns
+    i < j at row b_j), and a twin's subtree mirrors its representative's,
+    which the walk visits first, so without a budget k, the certificate
+    and ``lower_bound_only`` are those of the walk over every operand;
+    ``nodes`` counts only the representatives' nodes.
+
+    With enough budget the returned k is exact (the whole search tree is
+    exhausted); when the node budget runs out the best ladder found so
+    far is returned with ``lower_bound_only`` set.
+    """
+    if k_max < 1:
+        raise ValueError("k_max must be >= 1")
+    bud = Budget(budget)
+    rel = Relation(A, model)
+    left_q, right_q = rel.left, rel.right
+    rows, cols = rel.twins()
+    # b's are tried descending and c's ascending: the representative of a
+    # class is the member the walk tries first
+    reps_b = from_mask(_first_of_each(rows[::-1])[::-1])
+    reps_c = from_mask(_first_of_each(cols))
+
+    def children(node):
+        # pool_b: candidates for the next b (avoid A on all chosen c's);
+        # pool_c: candidates for the next c (in A on all chosen b's).
+        # No chosen element can recur: b_i lies in right(c_i), which
+        # pool_b drops, and c_j lies outside left(b) for every later b.
+        # b's are tried descending and c's ascending: ladders pair large
+        # b's with small c's first, so greedy descent reaches deep
+        # ladders on threshold-style sets without backtracking.
+        bs, cs, pool_b, pool_c = node
+        if cs:
+            pool_b &= ~right_q(cs[-1])
+        # a b whose row misses pool_c has no c to pair with; when pool_c is
+        # much smaller than pool_b, skip such b's without trying them
+        if 4 * pool_c.bit_count() < pool_b.bit_count():
+            pool_b &= rel.meeting(pool_c)
+        for b in iter_bits_desc(pool_b):
+            if not bud.spend():
+                return
+            pool_next = pool_c & left_q(b)
+            if not pool_next:
+                continue
+            for c in iter_bits(pool_next):
+                if not bud.spend():
+                    return
+                yield bs + (b,), cs + (c,), pool_b, pool_next
+
+    best = ((), ())
+    for bs, cs, _, _ in preorder(((), (), reps_b, reps_c), children):
+        if len(bs) > len(best[0]):
+            best = bs, cs
+            if len(bs) == k_max:
+                break
+    k = len(best[0])
+    cert = LadderCertificate(*best) if k else None
+    return LadderResult(k, cert, bud.exhausted and k < k_max, bud.spent)
+
+
+def self_spending_anchor_square_exists(A: DenseSet, k: int, bud: Budget):
+    """Whether a ZWindow set A holds a k x k square witness, decided from
+    the members of A below 2L - 1: True or False, or None when ``bud``
+    runs out first.
+
+    Write C = c1 + D with D = {0 = d1 < d2 < ... < dk < L} and call
+    a = b + c1 an *anchor*: every anchor lies in
+    S(D) = {a in A : a + D inside A}.  Conversely k anchors
+    a1 < ... < ak of S(D) give the witness b_i = a_i - c1 for any c1 in
+    [max(0, ak - L + 1), min(a1, L - 1 - dk)], and that range is non-empty
+    iff ak - a1 < L (ak + dk <= 2L - 2 holds because ak + dk is in A below
+    2L - 1).  So a witness exists iff some D has k anchors within L - 1 of
+    each other.  The walk grows D in increasing order; the next d is drawn
+    from the differences x - a of members x and anchors a, one node per
+    distinct d, and its anchors are the a's of those pairs.  A branch is
+    cut when no k of its anchors fit one window: S only shrinks as D grows.
+    """
+    L = A.model.operand_bound
+    members = np.flatnonzero(A.to_numpy()[:2 * L - 1])
+
+    def fits(anchors):
+        """Some k of the sorted anchors lie within L - 1 of each other."""
+        n = len(anchors)
+        return n >= k and bool((anchors[k - 1:] - anchors[:n - k + 1] < L).any())
+
+    def children(node):
+        """Every d in (last, L) with a + d in A for some anchor a costs one
+        node; only the d's with k anchors are looked at, the rest are
+        charged in bulk."""
+        size, last, anchors = node
+        diffs = members - anchors[:, None]
+        ds, counts = np.unique(diffs[(diffs > last) & (diffs < L)], return_counts=True)
+        tried = 0
+        for i in np.flatnonzero(counts >= k).tolist():
+            if not bud.spend(i + 1 - tried):
+                return
+            tried = i + 1
+            d = int(ds[i])
+            child = anchors[np.isin(anchors + d, members, assume_unique=True)]
+            if fits(child):
+                yield size + 1, d, child
+        bud.spend(len(ds) - tried)
+
+    if not fits(members):
+        return False
+    for size, _, _ in preorder((1, 0, members), children):
+        if size == k:
+            return True
+    return None if bud.exhausted else False
+
+
+def self_spending_anchor_triangular_exists(A: DenseSet, m: int, bud: Budget):
+    """Whether a ZWindow set A holds a triangular witness of size m, decided
+    from the members of A below 2L - 1: True or False, or None when ``bud``
+    runs out first.
+
+    Normalize by t = b1: u_i = b_i - t and v_j = c_j + t, so u_i + v_j =
+    b_i + c_j, u1 = 0 and every v_j lies in A (row 1).  The walk chooses
+    v_m, v_(m-1), ..., v1 as distinct members, one node per tried v, and
+    keeps the nested pools Q_i = {u : u + v_j in A for all j >= i}, so
+    Q1 ⊆ ... ⊆ Qm and 0 is in Q1.  Every c_j in [0, L) bounds t to
+    [max v - L + 1, min v], and every b_i in [0, L) puts u_i in
+    W_t = [-t, L - 1 - t].  By Hall's theorem over nested pools, distinct
+    u_i in Q_i ∩ W_t with u1 = 0 exist iff |Q_j ∩ W_t| >= j for every j.
+    Sliding W_t right until its left end meets a member of Qm loses no
+    member of any pool, so the t's worth testing are the least one and
+    -q for the q in Qm.  A branch is cut when no t passes for the levels
+    chosen so far: pools only shrink and the t-range only narrows.
+    """
+    L = A.model.operand_bound
+    members = np.flatnonzero(A.to_numpy()[:2 * L - 1]).tolist()
+    in_A = set(members)
+
+    def hall(pools, lo, hi):
+        """Some t in [lo, hi] leaves |Q ∩ W_t| >= level on every pool."""
+        top = pools[0]
+        ts = [lo] + [-q for q in top[bisect_left(top, -hi):bisect_left(top, -lo)]]
+        return any(all(bisect_right(p, L - 1 - t) - bisect_left(p, -t) >= m - j
+                       for j, p in enumerate(pools)) for t in ts)
+
+    def children(node):
+        """Members v not chosen yet that keep the t-range non-empty."""
+        vs, pools, lo, hi = node
+        level = m - len(vs)
+        for v in members[bisect_left(members, lo):bisect_right(members, hi + L - 1)]:
+            if v in vs:
+                continue
+            if not bud.spend():
+                return
+            nlo, nhi = max(lo, v - L + 1), min(hi, v)
+            # u in W_t for a t of the range: [-nhi, L - 1 - nlo] bounds each pool
+            if pools:
+                pool = [q for q in pools[-1] if q + v in in_A and -nhi <= q <= L - 1 - nlo]
+            else:
+                pool = [a - v for a in members if -nhi <= a - v <= L - 1 - nlo]
+            if len(pool) >= level and hall(pools + (pool,), nlo, nhi):
+                yield vs + (v,), pools + (pool,), nlo, nhi
+
+    for vs, _, _, _ in preorder(((), (), 0, L - 1), children):
+        if len(vs) == m:
+            return True
+    return None if bud.exhausted else False

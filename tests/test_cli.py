@@ -1,10 +1,11 @@
 import json
 import re
 
+import numpy as np
 import pytest
 
 from sumcore import witness as witness_mod
-from sumcore.cli import main, parse_model_arg
+from sumcore.cli import main, parse_model_arg, to_jsonable
 from sumcore.model import ZWindow, CayleyGroup, build_model, cyclic_table, read_set_file
 
 
@@ -280,6 +281,22 @@ class TestSubcommands:
             "error": {"type": "RuntimeError", "message": "internal fault"}}
         assert "Traceback" in captured.err
 
+    def test_value_without_json_form_exits_2(self, capsys, monkeypatch):
+        # a numpy scalar in a certificate is a fault, never its repr in a report
+        def numpy_witness(*args, **kwargs):
+            return witness_mod.SquareWitness((np.int64(0), np.int64(1)), (0, 1))
+
+        monkeypatch.setattr(witness_mod, "find_square_witness", numpy_witness)
+        code = main(["witness", "--model", "zwindow:100:50", "--set", "threshold(0)",
+                     "--k", "2"])
+        captured = capsys.readouterr()
+        assert code == 2
+        error = json.loads(captured.out)["error"]
+        assert error["type"] == "TypeError"
+        assert error["message"].startswith("no JSON form for int64 ")
+        with pytest.raises(TypeError):
+            to_jsonable({"x": np.int64(3)})
+
     def test_negative_shift_range(self, capsys):
         # "--shifts -5,5" would read -5,5 as an option flag
         code, out = run_cli(capsys, "syndetic", "--model", "zwindow:100:50",
@@ -411,6 +428,18 @@ class TestRunner:
         # intervals have step 1: that family never reads --step-max
         ("defwitness", "--model", "zwindow:64:32", "--set", "multiples(2)",
          "--family", "intervals", "--n", "2", "--step-max", "0"),
+        # a schedule replaces --n, and only a schedule has csv rows
+        ("density", "--model", "zwindow:100:50", "--set", "pow2", "--n", "5",
+         "--schedule", "3,4"),
+        ("density", "--model", "zwindow:100:50", "--set", "pow2", "--n", "5",
+         "--out", "csv"),
+        # the greedy spends no nodes
+        ("witness", "--model", "zwindow:1024:512", "--set", "multiples(3)", "--k", "4",
+         "--mode", "heuristic", "--budget", "0"),
+        ("triangular", "--model", "zwindow:256:128", "--set", "threshold(64)", "--m", "3",
+         "--scorer", "pool_size", "--budget", "5"),
+        ("growth", "--model", "zwindow:256:128", "--set", "multiples(2)", "--k-max", "3",
+         "--mode", "heuristic", "--budget", "5"),
     ], ids=lambda argv: f"{argv[0]}{argv[-2]}")
     def test_ignored_option_is_rejected(self, capsys, argv):
         # a usage error, as for any malformed argv; nothing is run

@@ -466,8 +466,8 @@ class Relation:
         ``opposite`` as a 0/1 integer vector.  On a ZWindow both sides are
         the correlation s[g] = Σ_x opposite[x]·A[g + x] over x, g < L,
         which reads A below 2L − 1.  When ``opposite`` holds every operand,
-        s[g] = |A ∩ [g, g + L)|, a difference of A's cached prefix counts,
-        and no transform is taken.  Otherwise, with n = 2^bitlen(2L − 1)
+        s[g] = |A ∩ [g, g + L)|, a difference of prefix counts of A below
+        2L − 1, and no transform is taken.  Otherwise, with n = 2^bitlen(2L − 1)
         ≥ 2L − 1 no sum wraps around, so s is the first L entries of
         irfft(rfft(A[:2L − 1], n) · conj(rfft(opposite, n)), n); A's
         transform is computed once per ``Relation``.
@@ -484,8 +484,9 @@ class Relation:
         if isinstance(self._A.model, ZWindow):
             L = self.bound
             if opposite.all():
-                p = self._A.prefix_counts()
-                return p[L:2 * L] - p[:L]
+                p = np.zeros(2 * L, dtype=np.int64)
+                np.cumsum(self._A.to_numpy()[:2 * L - 1], out=p[1:])
+                return p[L:] - p[:L]
             spectrum, n = self._spectrum
             # numpy loads numpy.fft on first use: imports stay as they were
             corr = np.fft.irfft(spectrum * np.fft.rfft(opposite, n).conj(), n)

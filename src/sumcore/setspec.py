@@ -120,29 +120,66 @@ class Complement:
     child: object
 
 
+# Elements per block of the Bernoulli and Bohr kernels: each block's work
+# arrays stay in cache, and the Python loop runs once per block.
+_BLOCK = 1 << 14
+# Row length of the Bohr kernel: x = j·_ROW + i.
+_ROW = 256
+
+
 def _bernoulli_mask(n, delta, seed):
+    """The splitmix64 draws of elements 0 … n − 1 against floor(delta·2^64),
+    one block at a time in two reused uint64 arrays (all ops ``out=``)."""
     threshold = (delta.numerator << 64) // delta.denominator
     if threshold >= 1 << 64:
         return np.ones(n, dtype=bool)
-    idx = np.arange(1, n + 1, dtype=np.uint64)
-    with np.errstate(over="ignore"):
-        x = np.uint64(seed & MASK64) + idx * np.uint64(GOLDEN)
-        x = (x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-        x = (x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-        x = x ^ (x >> np.uint64(31))
-    return x < np.uint64(threshold)
+    block = max(1, min(n, _BLOCK))
+    steps = np.arange(1, block + 1, dtype=np.uint64) * np.uint64(GOLDEN)
+    x = np.empty(block, dtype=np.uint64)
+    t = np.empty(block, dtype=np.uint64)
+    out = np.empty(n, dtype=bool)
+    m1, m2 = np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB133111EB)
+    s30, s27, s31 = np.uint64(30), np.uint64(27), np.uint64(31)
+    for lo in range(0, n, block):
+        m = min(block, n - lo)
+        xs, ts = x[:m], t[:m]
+        # element lo + i draws seed + (lo + i + 1)·GOLDEN, mod 2^64
+        np.add(steps[:m], np.uint64((seed + lo * GOLDEN) & MASK64), out=xs)
+        np.bitwise_xor(xs, np.right_shift(xs, s30, out=ts), out=xs)
+        np.multiply(xs, m1, out=xs)
+        np.bitwise_xor(xs, np.right_shift(xs, s27, out=ts), out=xs)
+        np.multiply(xs, m2, out=xs)
+        np.bitwise_xor(xs, np.right_shift(xs, s31, out=ts), out=xs)
+        np.less(xs, np.uint64(threshold), out=out[lo:lo + m])
+    return out
 
 
 def _bohr_mask(n, p, q, eps):
-    """{x : min(r, q - r) * ed < en * q} with r = x*p mod q, exactly.
+    """{x : ||x·p/q|| < eps} for 0 <= x < n and 0 <= p < q, exactly.
 
-    int64 holds every intermediate when max(n, ed, en) * q < 2^62;
-    otherwise the same expression runs on Python ints (dtype object).
+    With r = x·p mod q and T = (en·q − 1) // ed for eps = en/ed,
+    ||r/q|| < en/ed iff r <= T or r >= q − T, that is iff
+    (r + T) mod q <= 2T.  Row j of x = j·_ROW + i has
+    (r + T) mod q = (i·p mod q) + ((j·(_ROW·p mod q) + T) mod q), less
+    one q where that sum reaches q: no division per element.  The sums
+    lie below 2q, so int32 holds them when 2q < 2^31; int64 holds every
+    product when max(_ROW, rows)·q < 2^63; past that the same code runs
+    on Python ints (dtype object).
     """
     en, ed = eps.numerator, eps.denominator
-    dtype = np.int64 if max(n, ed, en) * q < 1 << 62 else object
-    r = np.arange(n, dtype=dtype) * p % q
-    return np.minimum(r, q - r) * ed < en * q
+    T = (en * q - 1) // ed
+    rows = -(-n // _ROW)
+    wide = np.int64 if max(_ROW, rows) * q < 1 << 63 else object
+    dtype = np.int32 if 2 * q < 1 << 31 else wide
+    base = (np.arange(_ROW, dtype=wide) * p % q).astype(dtype)
+    shifts = ((np.arange(rows, dtype=wide) * (_ROW * p % q) + T) % q).astype(dtype)
+    out = np.empty((rows, _ROW), dtype=bool)
+    step = _BLOCK // _ROW
+    for j in range(0, rows, step):
+        r = base + shifts[j:j + step, None]
+        r = np.where(r >= q, r - q, r)
+        np.less_equal(r, 2 * T, out=out[j:j + step])
+    return out.reshape(-1)[:n]
 
 
 def generate_set(model, spec) -> DenseSet:

@@ -53,7 +53,7 @@ from sumcore.model import (
     translate,
 )
 from sumcore.search import Budget, preorder
-from sumcore.setspec import splitmix_stream
+from sumcore.setspec import GOLDEN, MASK64, splitmix_stream
 
 
 def operand_elements(model):
@@ -1243,3 +1243,31 @@ def self_spending_anchor_triangular_exists(A: DenseSet, m: int, bud: Budget):
         if len(vs) == m:
             return True
     return None if bud.exhausted else False
+
+
+def elementwise_bernoulli_mask(n, delta, seed):
+    """Per-element reference for ``setspec._bernoulli_mask``: every
+    splitmix64 step over one uint64 array of all n elements."""
+    threshold = (delta.numerator << 64) // delta.denominator
+    if threshold >= 1 << 64:
+        return np.ones(n, dtype=bool)
+    idx = np.arange(1, n + 1, dtype=np.uint64)
+    with np.errstate(over="ignore"):
+        x = np.uint64(seed & MASK64) + idx * np.uint64(GOLDEN)
+        x = (x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+        x = (x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+        x = x ^ (x >> np.uint64(31))
+    return x < np.uint64(threshold)
+
+
+def elementwise_bohr_mask(n, p, q, eps):
+    """Per-element reference for ``setspec._bohr_mask``, one ``%`` per
+    element: {x : min(r, q - r) * ed < en * q} with r = x*p mod q, exactly.
+
+    int64 holds every intermediate when max(n, ed, en) * q < 2^62;
+    otherwise the same expression runs on Python ints (dtype object).
+    """
+    en, ed = eps.numerator, eps.denominator
+    dtype = np.int64 if max(n, ed, en) * q < 1 << 62 else object
+    r = np.arange(n, dtype=dtype) * p % q
+    return np.minimum(r, q - r) * ed < en * q

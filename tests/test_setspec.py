@@ -2,6 +2,7 @@ import os
 import tempfile
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -29,6 +30,8 @@ from sumcore import (
 from sumcore import setspec
 from sumcore.model import DenseSet, cyclic_table, iter_bits, read_set_file, translate
 from sumcore.setspec import GOLDEN, splitmix64
+
+from .oracles import elementwise_bernoulli_mask, elementwise_bohr_mask
 
 
 def zw(M, L):
@@ -315,6 +318,55 @@ class TestGeneratorEquivalence:
             A = generate_set(zw(1 << 12, 1 << 11), BohrSet(p, q, Fraction(1, 4)))
             assert A.members() == [x for x in range(1 << 12)
                                    if min(x * p % q, q - x * p % q) * 4 < q]
+
+
+def _kernel_sizes():
+    """Carrier sizes around the kernels' rows and blocks, plus seeded ones
+    from 1 to 70001."""
+    rng = np.random.default_rng(31)
+    row, block = setspec._ROW, setspec._BLOCK
+    edges = {1, 2, row - 1, row, row + 1, block - 1, block, block + 1,
+             2 * block + row + 3, 70001}
+    return sorted(edges | set(rng.integers(1, 70002, 4).tolist()))
+
+
+KERNEL_SIZES = _kernel_sizes()
+
+
+class TestLeafKernels:
+    """The block kernels give the per-element kernels' masks bit for bit."""
+
+    # (q, sizes): int32 while 2q < 2^31 (2^31 - 1: sums that would wrap
+    # int32), int64 while every product stays below 2^63, Python ints past
+    # that (2^62 - 1: 2q fits, 256q does not)
+    @pytest.mark.parametrize("q,sizes", [
+        (1, KERNEL_SIZES), (7, KERNEL_SIZES), (470832, KERNEL_SIZES),
+        ((1 << 30) - 1, KERNEL_SIZES),
+        ((1 << 30) + 1, KERNEL_SIZES), ((1 << 31) - 1, [70001]), (1 << 40, KERNEL_SIZES),
+        ((1 << 62) - 1, [1, 257, 5001]),
+        ((1 << 70) + 3, [1, 257, 5001]),
+    ])
+    def test_bohr_equals_elementwise(self, q, sizes):
+        rng = np.random.default_rng(q % 1000)
+        ps = {0, 1, q - 1, 665857 % q, int(rng.integers(0, min(q, 1 << 62)))}
+        epss = [Fraction(1, 1000), Fraction(1, 4), Fraction(1, 3), Fraction(500, 999),
+                Fraction(999, 1000)]
+        for n in sizes:
+            for p in ps:
+                for eps in epss:
+                    got = setspec._bohr_mask(n, p, q, eps)
+                    assert got.dtype == bool
+                    assert np.array_equal(got, elementwise_bohr_mask(n, p, q, eps)), (n, p, eps)
+
+    @pytest.mark.parametrize("delta", [Fraction(0), Fraction(1), Fraction(1, 2), Fraction(1, 3)])
+    def test_bernoulli_equals_elementwise(self, delta):
+        # seeds past 2^64 are taken mod 2^64
+        for seed in (0, (1 << 64) - 1, (1 << 64) + 12345):
+            for n in KERNEL_SIZES:
+                got = setspec._bernoulli_mask(n, delta, seed)
+                assert np.array_equal(got, elementwise_bernoulli_mask(n, delta, seed)), (n, seed)
+        assert np.array_equal(setspec._bernoulli_mask(5000, delta, (1 << 64) + 12345),
+                              setspec._bernoulli_mask(5000, delta, 12345))
 
 
 class TestParse:

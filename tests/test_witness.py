@@ -448,11 +448,11 @@ def symmetric_group(n):
 
 
 def model_of(text):
-    """``zwindow:M`` (L = M/2), ``zmod:n`` or ``sym:n``."""
-    kind, size = text.split(":")
+    """``zwindow:M`` (L = M/2), ``zwindow:M:L``, ``zmod:n`` or ``sym:n``."""
+    kind, size, *bound = text.split(":")
     size = int(size)
     if kind == "zwindow":
-        return zw(size, size // 2)
+        return zw(size, int(bound[0]) if bound else size // 2)
     return zn(size) if kind == "zmod" else symmetric_group(size)
 
 
@@ -583,16 +583,19 @@ class TestGreedy:
 
     @pytest.mark.parametrize("model_text,spec", [
         ("zwindow:4096", f"translate({BOHR},3)"), ("zwindow:4096", "bernoulli(1/2,5)"),
-        ("zmod:96", "union(multiples(4),multiples(6))"), ("sym:5", "bernoulli(1/2,9)")])
+        ("zmod:96", "union(multiples(4),multiples(6))"), ("sym:5", "bernoulli(1/2,9)"),
+        ("zwindow:4194304:64", "bernoulli(1/2,3)")])
     def test_overlaps_of_every_operand_are_popcounts(self, model_text, spec):
         # ZWindow: window counts with no transform; Cayley: the grid's row sums
         m = model_of(model_text)
-        rel = Relation(generate_set(m, parse_set_spec(spec)), m)
+        A = generate_set(m, parse_set_spec(spec))
+        rel = Relation(A, m)
         every = np.ones(rel.bound, dtype=bool)
         for side, quot in (("left", rel.left), ("right", rel.right)):
             want = [(rel.domain & quot(g)).bit_count() for g in range(rel.bound)]
             assert rel.overlaps(every, side).tolist() == want, side
         assert "_spectrum" not in vars(rel)  # A's transform was never taken
+        assert A._prefix is None  # nor prefix counts over the whole carrier
 
     def test_overlaps_are_popcounts(self):
         # L = 2^17: the FFT correlation, rounded, against big-int popcounts

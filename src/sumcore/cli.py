@@ -37,7 +37,7 @@ from . import density as density_mod
 from . import ladder as ladder_mod
 from . import witness as witness_mod
 from .errors import BadBounds, SumcoreError
-from .model import CayleyGroup, build_model, cyclic_table, set_file_text
+from .model import CayleyGroup, Record, build_model, cyclic_table, set_file_text
 from .setspec import generate_set, parse_rational, parse_set_spec
 
 
@@ -96,9 +96,9 @@ def to_jsonable(obj):
         return [to_jsonable(x) for x in obj]
     if isinstance(obj, dict):
         return {str(k): to_jsonable(v) for k, v in obj.items()}
-    if hasattr(obj, "__dataclass_fields__"):
+    if isinstance(obj, Record):
         out = {"type": type(obj).__name__}
-        for name in obj.__dataclass_fields__:
+        for name in obj._fields:
             out[name] = to_jsonable(getattr(obj, name))
         return out
     raise TypeError(f"no JSON form for {type(obj).__name__} {obj!r}")

@@ -25,18 +25,16 @@ element, the translate covering it.
 
 import operator
 from bisect import bisect_left
-from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
 
 from .errors import BadCore, ModelMismatch
-from .model import CayleyGroup, DenseSet, ZWindow, ints, iter_bits, translate, unpack_bits
+from .model import CayleyGroup, DenseSet, Record, ZWindow, ints, iter_bits, translate, unpack_bits
 from .search import preorder
 
 
-@dataclass(frozen=True)
-class CoverCertificate:
+class CoverCertificate(Record):
     translates: tuple      # chosen shifts g_1 < ... < g_t
     core: tuple            # (lo, hi) covered region
     witness_index: tuple   # for core element lo+i: index into translates
@@ -48,8 +46,7 @@ class CoverCertificate:
         return len(self.translates)
 
 
-@dataclass(frozen=True)
-class Infeasible:
+class Infeasible(Record):
     lower_bound: object        # counting bound, or exact optimum if known
     uncovered_element: object  # core element no translate reaches, or None
 

@@ -17,25 +17,22 @@ so the two outcomes are mutually exclusive and machine-checkable.  All
 densities are exact rationals; no floating point is involved.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from .errors import BadAlpha, BadInterval, ModelMismatch, WindowTooLarge
-from .model import DenseSet, ZWindow, ints
+from .model import DenseSet, Record, ZWindow, ints
 
 
-@dataclass(frozen=True)
-class DensityReport:
+class DensityReport(Record):
     window_length: int
     best_start: int
     count: int
     density: Fraction
 
 
-@dataclass(frozen=True)
-class GoodPoint:
+class GoodPoint(Record):
     """Position whose every prefix [x, x+n), n <= horizon, is (alpha/2)-dense."""
 
     x: int
@@ -44,8 +41,7 @@ class GoodPoint:
     interval: tuple  # (a, b), with x + horizon <= b
 
 
-@dataclass(frozen=True)
-class PartitionCertificate:
+class PartitionCertificate(Record):
     """Failure object: cut points spanning [a, b) with sparse blocks.
 
     Every block except possibly the last has length <= horizon and

@@ -19,18 +19,16 @@ exactness is promised only when the search exhausts its tree within
 budget.
 """
 
-from dataclasses import dataclass
 
 import numpy as np
 
-from .model import DenseSet, Relation, from_mask, iter_bits, iter_bits_desc
+from .model import DenseSet, Record, Relation, from_mask, iter_bits, iter_bits_desc
 from .search import Budget, preorder
 # bench/tracing.py wraps ``sumcore.ladder.quotient`` by name
 from .model import quotient  # noqa: F401
 
 
-@dataclass(frozen=True)
-class LadderCertificate:
+class LadderCertificate(Record):
     b: tuple
     c: tuple
 
@@ -39,8 +37,7 @@ class LadderCertificate:
         return len(self.b)
 
 
-@dataclass(frozen=True)
-class LadderResult:
+class LadderResult(Record):
     k: int
     certificate: object  # LadderCertificate or None (k = 0)
     lower_bound_only: bool

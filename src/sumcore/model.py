@@ -34,7 +34,6 @@ integer array.
 """
 
 import operator
-from dataclasses import dataclass
 from functools import cache, cached_property, partial
 
 import numpy as np
@@ -102,8 +101,98 @@ def bits_of(indices):
     return from_mask(mask)
 
 
-@dataclass(frozen=True)
-class ZWindow:
+_set = object.__setattr__
+
+
+class Record:
+    """Base of the frozen value classes: carriers, set-DSL nodes, witnesses
+    and certificates.  A subclass declares its fields as annotations, in
+    order; a class attribute is a field's default.  The methods, written
+    once here, behave as ``@dataclass(frozen=True)`` generates them for each
+    class: the same repr, ``==`` and hash by the tuple of field values,
+    assignment and deletion refused.  Values are set with
+    ``object.__setattr__`` in field order, which keeps instances compact."""
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        names = cls._fields = cls.__match_args__ = tuple(cls.__dict__.get("__annotations__", ()))
+        cls._defaults = {name: cls.__dict__[name] for name in names if name in cls.__dict__}
+        # _key(record) is the tuple of its field values
+        if len(names) > 1:
+            cls._key = operator.attrgetter(*names)
+        elif names:
+            get = operator.attrgetter(*names)
+            cls._key = staticmethod(lambda record: (get(record),))
+        else:
+            cls._key = staticmethod(lambda record: ())
+
+    def __init__(self, *args, **kwargs):
+        names = self._fields
+        n = len(args)
+        try:
+            if kwargs:
+                if not n and len(kwargs) == len(names):  # all by keyword
+                    for name in names:
+                        _set(self, name, kwargs[name])
+                    return
+            elif n == len(names):  # all positional
+                i = 0
+                for name in names:
+                    _set(self, name, args[i])
+                    i += 1
+                return
+            elif n < len(names):  # positional, then defaults
+                defaults = self._defaults
+                i = 0
+                for name in names:
+                    _set(self, name, args[i] if i < n else defaults[name])
+                    i += 1
+                return
+        except KeyError:
+            pass
+        cls, given = type(self).__name__, dict(zip(names, args))
+        if n > len(names):
+            raise TypeError(f"{cls}() takes {len(names)} arguments but {n} were given")
+        for name in kwargs:
+            if name in given:
+                raise TypeError(f"{cls}() got multiple values for argument {name!r}")
+            if name not in names:
+                raise TypeError(f"{cls}() got an unexpected keyword argument {name!r}")
+        given = {**self._defaults, **given, **kwargs}
+        for name in names:
+            if name not in given:
+                raise TypeError(f"{cls}() missing required argument {name!r}")
+            _set(self, name, given[name])
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        if self is other:
+            return True
+        key = self._key
+        return key(self) == key(other)
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def replace(self, **changes):
+        """A copy with the given fields changed."""
+        for name in self._fields:
+            changes.setdefault(name, getattr(self, name))
+        return type(self)(**changes)
+
+
+class ZWindow(Record):
     """Integer window [0, M) under (partial) addition."""
 
     ambient_size: int
@@ -123,8 +212,7 @@ class ZWindow:
         return s if s < self.ambient_size else None
 
 
-@dataclass(frozen=True)
-class CayleyGroup:
+class CayleyGroup(Record):
     """Finite carrier with an explicit multiplication table."""
 
     table: tuple

@@ -25,13 +25,12 @@ with all arithmetic mod 2^64 and ``splitmix64`` the standard finalizer
 """
 
 import re
-from dataclasses import dataclass, fields
 from fractions import Fraction
 
 import numpy as np
 
 from .errors import ParseError, SpecOutOfRange
-from .model import DenseSet, _read_set, bits_of, from_mask, shift_bits
+from .model import DenseSet, Record, _read_set, bits_of, from_mask, shift_bits
 # bench/tracing.py wraps ``sumcore.setspec.read_set_file`` by name
 from .model import read_set_file  # noqa: F401
 
@@ -57,66 +56,55 @@ def splitmix_stream(seed):
 # --- expression tree ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Multiples:
+class Multiples(Record):
     q: int
     offset: int = 0
 
 
-@dataclass(frozen=True)
-class PowersOf2:
+class PowersOf2(Record):
     pass
 
 
-@dataclass(frozen=True)
-class Bernoulli:
+class Bernoulli(Record):
     delta: Fraction
     seed: int
 
 
-@dataclass(frozen=True)
-class BohrSet:
+class BohrSet(Record):
     # theta approximated by num/den; membership ||x*theta|| < eps, exact
     num: int
     den: int
     eps: Fraction
 
 
-@dataclass(frozen=True)
-class Threshold:
+class Threshold(Record):
     t: int
 
 
-@dataclass(frozen=True)
-class Explicit:
+class Explicit(Record):
     members: tuple
 
 
-@dataclass(frozen=True)
-class FileSet:
+class FileSet(Record):
     path: str
 
 
-@dataclass(frozen=True)
-class Union:
+class Union(Record):
     left: object
     right: object
 
 
-@dataclass(frozen=True)
-class Intersect:
+class Intersect(Record):
     left: object
     right: object
 
 
-@dataclass(frozen=True)
-class Translate:
+class Translate(Record):
     child: object
     k: int
 
 
-@dataclass(frozen=True)
-class Complement:
+class Complement(Record):
     child: object
 
 
@@ -282,7 +270,7 @@ def spec_to_text(spec) -> str:
     _, *kinds = GRAMMAR[name]
     if not kinds:
         return name
-    values = iter([getattr(spec, f.name) for f in fields(spec)])
+    values = iter([getattr(spec, name) for name in spec._fields])
     args = []
     for kind, value in zip(kinds, values):
         if kind == "spec":
@@ -407,7 +395,7 @@ class _Parser:
                 args += [self.integer()] if self.take(",") else []
                 continue
             if i and not self.take(","):
-                field = fields(cls)[len(args)].name
+                field = cls._fields[len(args)]
                 self.error([f"',' ({m.group()} requires an explicit {field})"])
             value = self.read[kind]()
             args += value if kind == "ratio" else [value]

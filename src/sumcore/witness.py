@@ -36,22 +36,20 @@ of A's bool view, one pass per step pair.
 """
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from itertools import islice
 
 import numpy as np
 
 from .errors import InvalidInput, ModelMismatch
 from .ladder import LadderCertificate
-from .model import CayleyGroup, DenseSet, Relation, ZWindow, bits_of, ints, iter_bits
+from .model import CayleyGroup, DenseSet, Record, Relation, ZWindow, bits_of, ints, iter_bits
 # bench/tracing.py wraps ``sumcore.witness.quotient`` by name
 from .model import quotient  # noqa: F401
 from .search import Budget, preorder
 from .setspec import splitmix_stream
 
 
-@dataclass(frozen=True)
-class SquareWitness:
+class SquareWitness(Record):
     b: tuple
     c: tuple
 
@@ -60,8 +58,7 @@ class SquareWitness:
         return len(self.b)
 
 
-@dataclass(frozen=True)
-class TriangularWitness:
+class TriangularWitness(Record):
     b: tuple
     c: tuple
 
@@ -70,21 +67,18 @@ class TriangularWitness:
         return len(self.b)
 
 
-@dataclass(frozen=True)
-class NotFound:
+class NotFound(Record):
     exhaustive: bool
 
 
-@dataclass(frozen=True)
-class Stuck:
+class Stuck(Record):
     """Greedy non-answer: the partial witness when a candidate pool emptied."""
 
     b: tuple
     c: tuple
 
 
-@dataclass(frozen=True)
-class FamilyDescriptor:
+class FamilyDescriptor(Record):
     start: int
     step: int
     length: int
@@ -93,8 +87,7 @@ class FamilyDescriptor:
         return tuple(self.start + i * self.step for i in range(self.length))
 
 
-@dataclass(frozen=True)
-class DefinableWitness:
+class DefinableWitness(Record):
     family: str  # "intervals" or "aps"
     theta1: FamilyDescriptor
     theta2: FamilyDescriptor
@@ -108,8 +101,7 @@ class DefinableWitness:
         return self.theta2.elements()
 
 
-@dataclass(frozen=True)
-class UpgradeResult:
+class UpgradeResult(Record):
     tag: str        # "square" or "ladder"
     indices: tuple  # homogeneous index set I (0-based positions into tri)
     square: object  # SquareWitness when tag == "square"
@@ -455,11 +447,15 @@ def greedy_back_and_forth(A: DenseSet, model, k: int, scorer="pool_size", seed=0
         else:
             if scores is None:
                 scores = rel.overlaps(then, side)
-            # at most 255 rows: their uint8 sum cannot wrap
+            # rows add up in uint8, folded into the scores every 255 rows
+            # before the sum can wrap
             drop = np.zeros(rel.bound, dtype=np.uint8)
             other = "right" if side == "left" else "left"
-            for x in gone.tolist():
+            for i, x in enumerate(gone.tolist(), 1):
                 drop += rel.row(x, other).view(np.uint8)
+                if i % 255 == 0:
+                    scores -= drop
+                    drop[:] = 0
             scores -= drop
         held[side] = scores, now
         # argmax keeps the first best: ties go to the smallest element
@@ -487,10 +483,10 @@ def greedy_back_and_forth(A: DenseSet, model, k: int, scorer="pool_size", seed=0
 
 def _delta_rows(L):
     """The most leavers whose rows a greedy pick subtracts instead of taking
-    ``Relation.overlaps`` afresh, over L operands: 16 + L/32, near the
-    measured break-evens (README, performance notes), and at most 255, so
-    that the uint8 sum of the rows cannot wrap."""
-    return min(255, 16 + L // 32)
+    ``Relation.overlaps`` afresh, over L operands: 16 + L/64, and at most
+    1920, at or below the measured break-evens from L = 2^12 to 2^20
+    (README, performance notes)."""
+    return min(1920, 16 + L // 64)
 
 
 # --- Ramsey upgrade -----------------------------------------------------------
@@ -653,8 +649,7 @@ def verify_definable_witness(w: DefinableWitness, A: DenseSet, model) -> bool:
 # --- growth curve ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GrowthPoint:
+class GrowthPoint(Record):
     k: int
     found: bool
     witness: object  # SquareWitness or None

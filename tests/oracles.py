@@ -5,6 +5,7 @@ tricks, no pruning beyond feasibility, so that agreement with the
 library is meaningful.  Oracles are only run at small scale.
 """
 
+import dataclasses
 import itertools
 import operator
 from bisect import bisect_left, bisect_right
@@ -1271,3 +1272,19 @@ def elementwise_bohr_mask(n, p, q, eps):
     dtype = np.int64 if max(n, ed, en) * q < 1 << 62 else object
     r = np.arange(n, dtype=dtype) * p % q
     return np.minimum(r, q - r) * ed < en * q
+
+
+# --- the records as frozen dataclasses -------------------------------------------
+
+# Every value class of sumcore (carriers, set-DSL nodes, witnesses and
+# certificates) was a ``@dataclass(frozen=True)`` before ``model.Record``.
+
+
+def dataclass_twin(cls):
+    """The frozen dataclass that the record class ``cls`` was: its own
+    annotations as fields, in order, with a class attribute of the same name
+    as the default."""
+    spec = [(name, kind, dataclasses.field(default=cls.__dict__[name]))
+            if name in cls.__dict__ else (name, kind)
+            for name, kind in cls.__dict__.get("__annotations__", {}).items()]
+    return dataclasses.make_dataclass(cls.__name__, spec, frozen=True)

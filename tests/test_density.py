@@ -1,4 +1,3 @@
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -25,8 +24,11 @@ from sumcore import (
     verify_density_certificate,
     verify_good_point,
 )
+from sumcore.model import Record
 
 from .oracles import list_walk_regular_point, scan_good_points, walk_regular_point
+
+replace = Record.replace
 
 
 SCALE = 1 << 18

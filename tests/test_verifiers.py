@@ -9,7 +9,6 @@ oracle that reads b*c in A from ``model.op`` alone.
 """
 
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -39,10 +38,12 @@ from sumcore import (
     verify_upgrade,
 )
 
-from sumcore.model import Relation
+from sumcore.model import Record, Relation
 
 from .oracles import brute_cover, brute_definable, brute_pattern, gather_certifies
 from .test_witness import symmetric_group
+
+replace = Record.replace
 
 CASES = [(kind, k) for kind in ("zwindow", "zmod") for k in (5, 70)]
 

@@ -583,6 +583,39 @@ class TestGreedy:
 
     @pytest.mark.parametrize("model_text,spec", [
         ("zwindow:4096", f"translate({BOHR},3)"), ("zwindow:4096", "bernoulli(1/2,5)"),
+        ("zwindow:8192", "bernoulli(3/4,6)"), ("sym:6", "bernoulli(1/2,9)")])
+    def test_row_deltas_past_255_rows(self, monkeypatch, model_text, spec):
+        """With no cut every pick subtracts rows, hundreds to thousands at
+        once, summed in uint8 and folded into the scores every 255 rows:
+        the picks are still the oracle's, every k up to 12."""
+        m = model_of(model_text)
+        A = generate_set(m, parse_set_spec(spec))
+        fresh, rows = [], []
+        overlaps, row = Relation.overlaps, Relation.row
+
+        def spy_overlaps(self, opposite, side):
+            fresh.append(side)
+            return overlaps(self, opposite, side)
+
+        def spy_row(self, g, side):
+            rows.append(g)
+            return row(self, g, side)
+
+        monkeypatch.setattr(witness, "_delta_rows", lambda L: L)
+        monkeypatch.setattr(Relation, "overlaps", spy_overlaps)
+        monkeypatch.setattr(Relation, "row", spy_row)
+        most = 0
+        for scorer, k in itertools.product(("pool_size", "density_weighted"), range(1, 13)):
+            fresh.clear()
+            rows.clear()
+            got = greedy_back_and_forth(A, m, k, scorer=scorer)
+            assert got == bitset_greedy(A, m, k, scorer=scorer), (scorer, k)
+            assert len(fresh) <= 2  # one first count per side
+            most = max(most, len(rows))
+        assert most > 2 * 12 + 255  # 2k rows narrow the pools, the rest are deltas
+
+    @pytest.mark.parametrize("model_text,spec", [
+        ("zwindow:4096", f"translate({BOHR},3)"), ("zwindow:4096", "bernoulli(1/2,5)"),
         ("zmod:96", "union(multiples(4),multiples(6))"), ("sym:5", "bernoulli(1/2,9)"),
         ("zwindow:4194304:64", "bernoulli(1/2,3)")])
     def test_overlaps_of_every_operand_are_popcounts(self, model_text, spec):

@@ -182,6 +182,7 @@ def cmd_witness(args, model, A):
 
 def cmd_triangular(args, model, A):
     scorer = None if args.scorer == "exact" else args.scorer
+    args.seed = args.seed or 0  # without --seed the report echoes the default 0
     res = witness_mod.find_triangular_witness(A, model, args.m, scorer=scorer,
                                               budget=args.budget, seed=args.seed)
     if isinstance(res, witness_mod.TriangularWitness):
@@ -278,7 +279,7 @@ def make_parser():
     p.add_argument("--scorer",
                    choices=["exact", "pool_size", "density_weighted", "random"],
                    default="exact")
-    p.add_argument("--seed", type=parse_int, default=0, help="drives the random scorer")
+    p.add_argument("--seed", type=parse_int, default=None, help="drives the random scorer")
 
     p = command("upgrade", cmd_upgrade, "triangular-to-square Ramsey upgrade")
     p.add_argument("--b", type=_int_list, required=True, help="comma-separated b sequence")
@@ -320,6 +321,8 @@ _UNREAD = [
      lambda a: a.budget is not None and a.mode == "heuristic"),
     ("triangular", "--budget", "not read with a greedy --scorer",
      lambda a: a.budget is not None and a.scorer != "exact"),
+    ("triangular", "--seed", "not read without --scorer random",
+     lambda a: a.seed is not None and a.scorer != "random"),
     # intervals have step 1: the family never reads --step-max
     ("defwitness", "--step-max", "not allowed with --family intervals",
      lambda a: a.step_max is not None and a.family == "intervals"),

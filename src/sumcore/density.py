@@ -202,9 +202,9 @@ def _sparse(cnt, length, alpha, top):
 
 def verify_good_point(gp: GoodPoint, A: DenseSet) -> bool:
     """Recheck the prefix-density invariant of a good point from the bitset;
-    False on a malformed one."""
+    False on a malformed one, or on an alpha outside (0, 1]."""
     fields = ints([gp.x, gp.horizon] + (ints(gp.interval) or []))
-    if fields is None or len(fields) != 4 or not isinstance(gp.alpha, Fraction):
+    if fields is None or len(fields) != 4 or not (isinstance(gp.alpha, Fraction) and 0 < gp.alpha <= 1):
         return False
     x, N, a, b = fields
     M = A.model.carrier_size
@@ -219,9 +219,9 @@ def verify_good_point(gp: GoodPoint, A: DenseSet) -> bool:
 
 def verify_density_certificate(cert: PartitionCertificate, A: DenseSet) -> bool:
     """Recheck every PartitionCertificate invariant against A's bitset;
-    False on a malformed certificate."""
+    False on a malformed certificate, or on an alpha outside (0, 1]."""
     fields = ints([cert.carrier_size, cert.horizon] + (ints(cert.interval) or []))
-    if fields is None or len(fields) != 4 or not isinstance(cert.alpha, Fraction):
+    if fields is None or len(fields) != 4 or not (isinstance(cert.alpha, Fraction) and 0 < cert.alpha <= 1):
         return False
     size, N, a, b = fields
     M = A.model.carrier_size

@@ -117,39 +117,9 @@ class Record:
         super().__init_subclass__(**kwargs)
         names = cls._fields = cls.__match_args__ = tuple(cls.__dict__.get("__annotations__", ()))
         cls._defaults = {name: cls.__dict__[name] for name in names if name in cls.__dict__}
-        # _key(record) is the tuple of its field values
-        if len(names) > 1:
-            cls._key = operator.attrgetter(*names)
-        elif names:
-            get = operator.attrgetter(*names)
-            cls._key = staticmethod(lambda record: (get(record),))
-        else:
-            cls._key = staticmethod(lambda record: ())
 
     def __init__(self, *args, **kwargs):
-        names = self._fields
-        n = len(args)
-        try:
-            if kwargs:
-                if not n and len(kwargs) == len(names):  # all by keyword
-                    for name in names:
-                        _set(self, name, kwargs[name])
-                    return
-            elif n == len(names):  # all positional
-                i = 0
-                for name in names:
-                    _set(self, name, args[i])
-                    i += 1
-                return
-            elif n < len(names):  # positional, then defaults
-                defaults = self._defaults
-                i = 0
-                for name in names:
-                    _set(self, name, args[i] if i < n else defaults[name])
-                    i += 1
-                return
-        except KeyError:
-            pass
+        names, n = self._fields, len(args)
         cls, given = type(self).__name__, dict(zip(names, args))
         if n > len(names):
             raise TypeError(f"{cls}() takes {len(names)} arguments but {n} were given")
@@ -175,11 +145,13 @@ class Record:
             return NotImplemented
         if self is other:
             return True
-        key = self._key
-        return key(self) == key(other)
+        return self._key() == other._key()
 
     def __hash__(self):
-        return hash(self._key(self))
+        return hash(self._key())
+
+    def _key(self):
+        return tuple([getattr(self, name) for name in self._fields])
 
     def __repr__(self):
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)

@@ -255,9 +255,11 @@ def find_square_witness(A: DenseSet, model, k: int, mode="exact", budget=None):
     the answer, ``NotFound(exhaustive=True)``; on "exists", or when it
     runs out of budget, the search above runs under a budget of its own,
     so every other answer, the lex-least witness included, is the one
-    the search alone gives.  Cayley tables take the search alone; on a
-    group (``CayleyGroup.is_group``) its root tries b_1 = 0 only
-    (``_roots``), which gives the same witness and turns a refutation
+    the search alone gives.  Each phase gets the whole ``budget`` (a call
+    spends at most twice it): a shared one would let the anchor side turn
+    the search's witness into a NotFound.  Cayley tables take the search
+    alone; on a group (``CayleyGroup.is_group``) its root tries b_1 = 0
+    only (``_roots``), which gives the same witness and turns a refutation
     that ran out of budget in the other roots into an exhaustive one.
 
     Heuristic mode delegates to the greedy back-and-forth construction
@@ -329,8 +331,10 @@ def find_triangular_witness(A: DenseSet, model, m: int, scorer=None, budget=None
     the answer, ``NotFound(exhaustive=True)``; on "exists", or when it runs
     out of budget, the search above runs under a budget of its own, so
     every other answer, the witness included, is the one the search alone
-    gives.  Cayley tables take the search alone; on a group its root tries
-    b_1 = 0 only (``_roots``), as the square search's does.
+    gives.  The anchor side and the search with its c-phase each get the
+    whole ``budget``, so a call spends at most twice it.  Cayley tables
+    take the search alone; on a group its root tries b_1 = 0 only
+    (``_roots``), as the square search's does.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
@@ -664,7 +668,7 @@ def growth_curve(A: DenseSet, model, k_max: int, mode="exact", budget=None):
     remaining entries are filled without searching.  In heuristic mode
     the greedy runs once, for k_max: its picks do not depend on k, so its
     witness at k is its first k pairs, and every k past a ``Stuck`` is a
-    non-exhaustive miss.
+    non-exhaustive miss.  Each k's search spends at most twice ``budget``.
     """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")

@@ -440,6 +440,9 @@ class TestRunner:
          "--scorer", "pool_size", "--budget", "5"),
         ("growth", "--model", "zwindow:256:128", "--set", "multiples(2)", "--k-max", "3",
          "--mode", "heuristic", "--budget", "5"),
+        # only the random scorer reads a seed
+        ("triangular", "--model", "zwindow:256:128", "--set", "threshold(64)", "--m", "3",
+         "--seed", "1"),
     ], ids=lambda argv: f"{argv[0]}{argv[-2]}")
     def test_ignored_option_is_rejected(self, capsys, argv):
         # a usage error, as for any malformed argv; nothing is run
@@ -494,3 +497,10 @@ class TestReproducibility:
         assert strip_wall_time(one) == strip_wall_time(again)
         assert json.loads(one)["certificate"] != json.loads(other)["certificate"]
         assert json.loads(one)["verified"] is True
+        # without --seed a report echoes the default seed 0, with any scorer
+        _, default = run_cli(capsys, *case)
+        _, zero = run_cli(capsys, *case, "--seed", "0")
+        assert strip_wall_time(default) == strip_wall_time(zero)
+        _, exact = run_cli(capsys, *case[:-2])
+        for out in (default, exact):
+            assert json.loads(out)["parameters"]["seed"] == 0

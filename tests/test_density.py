@@ -280,6 +280,8 @@ class TestVerifierMutations:
 
     @pytest.mark.parametrize("field, value", [
         ("alpha", 0.5), ("alpha", "1/2"), ("horizon", 64.0), ("interval", (0.0, 4096)),
+        # a Fraction outside (0, 1]: find_regular_point refuses it with BadAlpha
+        ("alpha", Fraction(5, 4)), ("alpha", Fraction(2)), ("alpha", Fraction(3)),
     ])
     def test_malformed_field_is_rejected(self, field, value):
         cert, A = self.pow2_certificate()
@@ -287,7 +289,7 @@ class TestVerifierMutations:
 
     @pytest.mark.parametrize("field, value", [
         ("x", 1.0), ("alpha", "1/2"), ("alpha", 0.5), ("horizon", 64.0),
-        ("interval", (0, 4096.0)),
+        ("interval", (0, 4096.0)), ("alpha", Fraction(0)), ("alpha", Fraction(-1, 2)),
     ])
     def test_malformed_good_point_is_rejected(self, field, value):
         A = generate_set(zw(4096, 2048), PowersOf2())

@@ -12,6 +12,7 @@ from sumcore import (
     cyclic_table,
     find_square_witness,
     find_triangular_witness,
+    growth_curve,
     max_ladder,
 )
 from sumcore import witness
@@ -215,3 +216,33 @@ def test_dfs_matches_self_spending_walk(monkeypatch, budgets, search, oracle, mo
         return go
 
     assert sweep(run(search)) == sweep(run(oracle))
+
+
+# --- the budget rule: the anchor walk and the search each get the budget ----------
+
+SPARSE = DenseSet.from_members(zw(18, 9), [1, 4, 6, 9, 12, 13, 14])
+REFUTED = DenseSet.from_members(zw(24, 6), [0, 1, 3, 4, 5, 10, 14, 15, 16, 18, 19, 20,
+                                            21, 22, 23])
+LATIN, LATIN_SET = latin(7, 6)[0]  # no anchor walk: one budget
+
+
+@pytest.mark.parametrize("call, calls, phases", [
+    # anchor walk 40 nodes, search 13: a budget shared by both gives NotFound at 13
+    (lambda budget: find_triangular_witness(SPARSE, SPARSE.model, 4, budget=budget), 1, 2),
+    (lambda budget: find_triangular_witness(REFUTED, REFUTED.model, 4, budget=budget), 1, 2),
+    (lambda budget: find_square_witness(WINDOWS[0][1], WINDOWS[0][0], 3, budget=budget), 1, 2),
+    (lambda budget: find_square_witness(WINDOWS[0][1], WINDOWS[0][0], 4, budget=budget), 1, 2),
+    # k = 1..4 searched, the refutation at k = 4 exhaustive
+    (lambda budget: growth_curve(WINDOWS[0][1], WINDOWS[0][0], 6, budget=budget), 6, 8),
+    (lambda budget: find_square_witness(LATIN_SET, LATIN, 3, budget=budget), 1, 1),
+])
+def test_each_phase_gets_the_whole_budget(budgets, call, calls, phases):
+    # so one search spends at most twice its budget, and growth that per k
+    unlimited, made = spent_by(lambda: call(None), budgets)
+    assert len(made) == phases
+    assert call(max(spent for spent, _ in made)) == unlimited
+    full = sum(spent for spent, _ in made)
+    for budget in range(full + 2):
+        _, made = spent_by(lambda: call(budget), budgets)
+        assert 0 < len(made) <= 2 * calls
+        assert all(spent <= budget for spent, _ in made)
